@@ -43,7 +43,7 @@ type Config struct {
 	// provably ≥ MaxMax).
 	Strategy strategy.Strategy
 	// Parallelism bounds the per-block optimization worker pool
-	// (default GOMAXPROCS via the scan engine).
+	// (default GOMAXPROCS, resolved once at New).
 	Parallelism int
 	// MinProfitUSD skips plans predicted below this (default 0.01$ —
 	// dust plans lose to integer rounding).
@@ -68,6 +68,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Strategy == nil {
 		c.Strategy = strategy.MaxMaxStrategy{}
+	}
+	if c.Parallelism <= 0 {
+		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.MinProfitUSD <= 0 {
 		c.MinProfitUSD = 0.01
@@ -123,15 +126,12 @@ type Bot struct {
 	pools  *source.ChainSource
 	oracle cex.Oracle
 	cfg    Config
-	// cache keeps the enumerated cycle topology across blocks: reserves
-	// move every block but pools almost never do, so per-block detection
-	// skips enumeration and only re-orients + re-optimizes.
-	cache *scan.Cache
 	// delta keeps the previous block's per-loop results so each block
 	// re-optimizes only the loops whose pools traded since — the bot's
 	// own executions plus whatever retail flow moved. Equivalent reports,
-	// a fraction of the optimization work.
-	delta *scan.DeltaState
+	// a fraction of the optimization work. Its topology cache spares the
+	// cycle enumeration when a capture meets a pool set seen before.
+	delta *scan.Delta
 	// pool is the persistent worker pool a Run installs for its blocks,
 	// so per-block parallel phases reuse parked goroutines instead of
 	// respawning them every block (nil outside Run: Step spawns).
@@ -155,8 +155,14 @@ func New(state *chain.State, oracle cex.Oracle, cfg Config) (*Bot, error) {
 		pools:  source.FromChain(state, cfg.Scale),
 		oracle: oracle,
 		cfg:    cfg,
-		cache:  scan.NewCache(0),
-		delta:  &scan.DeltaState{},
+		delta: scan.NewDelta(scan.Config{
+			MinLen:       cfg.LoopLen,
+			MaxLen:       cfg.LoopLen,
+			Strategy:     cfg.Strategy,
+			Parallelism:  cfg.Parallelism,
+			MinProfitUSD: cfg.MinProfitUSD,
+			Cache:        scan.NewCache(0),
+		}),
 	}, nil
 }
 
@@ -197,15 +203,7 @@ func (b *Bot) findPlans(ctx context.Context) ([]plan, error) {
 	if len(pools) == 0 {
 		return nil, ErrNoPools
 	}
-	report, err := scan.RunDelta(ctx, pools, nil, b.oracle, scan.Config{
-		MinLen:       b.cfg.LoopLen,
-		MaxLen:       b.cfg.LoopLen,
-		Strategy:     b.cfg.Strategy,
-		Parallelism:  b.cfg.Parallelism,
-		MinProfitUSD: b.cfg.MinProfitUSD,
-		Cache:        b.cache,
-		Workers:      b.pool,
-	}, b.delta)
+	report, err := b.delta.Scan(ctx, pools, nil, b.oracle, b.pool)
 	if err != nil {
 		return nil, fmt.Errorf("bot: scan: %w", err)
 	}
@@ -431,11 +429,7 @@ func (b *Bot) stepReoptimize(ctx context.Context) (BlockReport, error) {
 // returns.
 func (b *Bot) Run(ctx context.Context, n int) ([]BlockReport, error) {
 	if b.pool == nil {
-		workers := b.cfg.Parallelism
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		b.pool = scan.NewWorkers(workers)
+		b.pool = scan.NewWorkers(b.cfg.Parallelism)
 		defer func() {
 			b.pool.Close()
 			b.pool = nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/big"
+	"runtime"
 	"testing"
 
 	"arbloop/internal/cex"
@@ -166,6 +167,27 @@ func TestBotContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := b.Run(ctx, 3); err == nil {
 		t.Error("cancelled context: want error")
+	}
+}
+
+// TestBotDeltaSurvivesGOMAXPROCSChange: the bot binds its delta engine
+// at New, so a GOMAXPROCS change between blocks must neither
+// re-partition the baseline nor force a full re-capture.
+func TestBotDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	b, err := New(paperChain(t), paperOracle(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{procs, 1, 4} {
+		runtime.GOMAXPROCS(p)
+		if _, err := b.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := b.delta.Stats(); s.FullScans != 1 || s.DeltaScans != 2 || s.Shards != procs {
+		t.Errorf("stats = %+v, want 1 full + 2 delta scans over %d shards", s, procs)
 	}
 }
 

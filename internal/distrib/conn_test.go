@@ -132,12 +132,16 @@ func TestLimitListenerConcurrentChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTracker()
-	const cap = 4
+	const cap, dialers = 4, 32
 	ln := Limit(inner, cap, tr)
 	defer ln.Close()
 
+	// A Dial completes in the kernel backlog before Accept returns, so
+	// the dialers finishing says nothing about the accept loop: it
+	// signals once it has taken every connection.
+	allAccepted := make(chan struct{})
 	go func() {
-		for {
+		for accepted := 0; ; {
 			c, err := ln.Accept()
 			if err != nil {
 				return
@@ -151,11 +155,14 @@ func TestLimitListenerConcurrentChurn(t *testing.T) {
 				c.Close()
 				c.Close() // double-close must not double-release
 			}()
+			if accepted++; accepted == dialers {
+				close(allAccepted)
+			}
 		}
 	}()
 
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := 0; i < dialers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -169,9 +176,14 @@ func TestLimitListenerConcurrentChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	select {
+	case <-allAccepted:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("accept loop took %d of %d connections", tr.Stats().Accepted, dialers)
+	}
 	waitActive(t, tr, 0)
-	if s := tr.Stats(); s.Accepted != 32 {
-		t.Errorf("accepted = %d, want 32", s.Accepted)
+	if s := tr.Stats(); s.Accepted != dialers {
+		t.Errorf("accepted = %d, want %d", s.Accepted, dialers)
 	}
 }
 

@@ -91,7 +91,7 @@ type Update struct {
 	// around. It is nil when the dirty set is unknown (the first update,
 	// or any topology change) and non-nil-but-empty when nothing moved.
 	// Consumers that skip updates (coalescing) must not union consecutive
-	// sets themselves; scan.RunDelta re-diffs reserves against its own
+	// sets themselves; scan.Delta.Scan re-diffs reserves against its own
 	// baseline, so a stale set can never corrupt a delta scan.
 	ChangedPools []string
 }

@@ -84,14 +84,13 @@ func TestStreamContainsStrategyPanic(t *testing.T) {
 func TestRunDeltaContainsStrategyPanic(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
-	st := &DeltaState{}
 	m := NewMetrics()
 	s := &panickyStrategy{inner: strategy.MaxMaxStrategy{}, every: 4}
-	cfg := Config{Strategy: s, Metrics: m, Parallelism: 4}
-	if _, err := RunDelta(context.Background(), pools, nil, src, cfg, st); err != nil {
+	st := NewDelta(Config{Strategy: s, Metrics: m, Parallelism: 4})
+	if _, err := st.Scan(context.Background(), pools, nil, src, nil); err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	rep, err := RunDelta(context.Background(), rebuild(t, pools), nil, src, cfg, st)
+	rep, err := st.Scan(context.Background(), rebuild(t, pools), nil, src, nil)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}
@@ -156,11 +155,11 @@ func TestDegradedPricesMarkReport(t *testing.T) {
 		t.Fatalf("DegradedScans = %d, want 1", m.DegradedScans.Load())
 	}
 
-	st := &DeltaState{}
-	if _, err := RunDelta(context.Background(), paperPools(t), nil, prices, Config{}, st); err != nil {
+	st := NewDelta(Config{})
+	if _, err := st.Scan(context.Background(), paperPools(t), nil, prices, nil); err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	rep2, err := RunDelta(context.Background(), paperPools(t), nil, prices, Config{}, st)
+	rep2, err := st.Scan(context.Background(), paperPools(t), nil, prices, nil)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // countingConvex wraps ConvexStrategy and counts cold vs warm optimize
-// calls. The counters live behind pointers so the value's %#v rendering
-// (the delta baseline's strategy key) is stable across scans.
+// calls. The counters live behind pointers so every copy of the value
+// shares them.
 type countingConvex struct {
 	inner      strategy.ConvexStrategy
 	cold, warm *atomic.Int64
@@ -86,15 +86,15 @@ func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
 	} {
 		counting := newCountingConvex()
 		cfg.Strategy = counting
-		st := &DeltaState{}
+		st := NewDelta(cfg)
 		state := pools
-		if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil { // capture
+		if _, err := st.Scan(ctx, state, nil, src, nil); err != nil { // capture
 			t.Fatal(err)
 		}
 		coldAfterCapture := counting.cold.Load()
 		for round := 0; round < 4; round++ {
 			state = perturb(t, rng, state, 1+rng.Intn(8))
-			delta, err := RunDelta(ctx, state, nil, src, cfg, st)
+			delta, err := st.Scan(ctx, state, nil, src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,10 +125,10 @@ func TestRunDeltaConvexPriceMoveWarmStarts(t *testing.T) {
 	ctx := context.Background()
 	counting := newCountingConvex()
 	cfg := Config{Strategy: counting, Shards: 2, Parallelism: 1}
-	st := &DeltaState{}
+	st := NewDelta(cfg)
 
 	src := cex.NewStatic(prices)
-	rep, err := RunDelta(ctx, pools, nil, src, cfg, st)
+	rep, err := st.Scan(ctx, pools, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRunDeltaConvexPriceMoveWarmStarts(t *testing.T) {
 	}
 	moved[tok] *= 1.02
 	before := counting.warm.Load()
-	rep2, err := RunDelta(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), cfg, st)
+	rep2, err := st.Scan(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,13 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 	measure := func(opts strategy.ConvexOptions) (clean, dirty, reopt float64) {
 		// Metrics on: the convex budget is measured instrumented too.
 		cfg := Config{Strategy: strategy.ConvexStrategy{Options: opts}, Parallelism: 1, Shards: 4, Metrics: NewMetrics()}
-		st := &DeltaState{}
+		st := NewDelta(cfg)
 		state := rebuild(t, pools)
-		if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil {
+		if _, err := st.Scan(ctx, state, nil, src, nil); err != nil {
 			t.Fatal(err)
 		}
 		clean = testing.AllocsPerRun(20, func() {
-			if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil {
+			if _, err := st.Scan(ctx, state, nil, src, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -180,7 +180,7 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 		var reoptTotal int
 		dirty = testing.AllocsPerRun(20, func() {
 			state = perturb(t, rng, state, 1)
-			rep, err := RunDelta(ctx, state, nil, src, cfg, st)
+			rep, err := st.Scan(ctx, state, nil, src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,6 @@
 // Delta scanning: the block-after-block fast path. Between consecutive
 // blocks only a handful of pools actually trade, yet a full scan
-// re-optimizes every detected loop. RunDelta re-runs Strategy.Optimize
+// re-optimizes every detected loop. A Delta re-runs Strategy.Optimize
 // only for loops touching a *dirty* pool (reserves moved) or a moved CEX
 // price, and merges everything else from the previous scan's results —
 // producing a report identical to a full scan over the same state.
@@ -28,25 +28,23 @@
 // compares pool metadata field-by-field instead of hashing a
 // fingerprint, the graph is rebound to fresh reserves instead of
 // rebuilt, and every per-scan slice and map lives in a reusable scratch
-// arena carried by the DeltaState, so a steady-state delta scan touches
+// arena carried by the Delta, so a steady-state delta scan touches
 // the allocator a fixed handful of times regardless of market size.
 //
 // The dirty set is computed by diffing reserves against the previous
 // scan's (authoritative, O(pools)), optionally widened by a caller-
 // provided hint such as feed.Update.ChangedPools; prices are re-fetched
 // every scan and diffed the same way, so a moved CEX price re-optimizes
-// exactly the loops it touches. Whenever the previous state cannot be
-// reused — first scan, topology changed, different enumeration bounds or
-// shard count, changed strategy — RunDelta transparently falls back to a
-// full scan and captures fresh state.
+// exactly the loops it touches. A Delta is bound at construction to one
+// resolved config, so its strategy, loop bounds, and shard count cannot
+// change under a captured baseline: the previous state is unusable only
+// on the first scan or after a topology change, and then Scan
+// transparently falls back to a full scan and captures fresh state.
 package scan
 
 import (
 	"context"
-	"reflect"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -55,19 +53,22 @@ import (
 	"arbloop/internal/strategy"
 )
 
-// DeltaState carries one scanner's memory between delta scans: the
+// Delta is the delta engine: one scanner's memory between scans — the
 // topology it scanned, the shard partition, the reserves and prices it
-// scanned at, and the per-shard captured outcomes. A zero DeltaState is
-// ready to use — the first scan through it is a full scan that populates
-// it. Safe for concurrent use: the mutex guards only the in-memory
-// baseline snapshot, the scratch-arena checkout, and commit — never the
-// price fetch or the optimization fan-out, so a slow scan (hung
-// PriceSource, heavy strategy) cannot stall other scans on the same
-// state. Concurrent scans each compute against the baseline they
-// snapshotted — any committed baseline is a self-consistent (reserves,
-// prices, shards) capture, so last-writer-wins is correct and the next
-// diff simply runs against whichever baseline landed.
-type DeltaState struct {
+// scanned at, and the per-shard captured outcomes — bound to the config
+// NewDelta resolved. The first Scan is a full scan that populates it.
+// Safe for concurrent use: the mutex guards only the in-memory baseline
+// snapshot, the scratch-arena checkout, and commit — never the price
+// fetch or the optimization fan-out, so a slow scan (hung PriceSource,
+// heavy strategy) cannot stall other scans on the same engine.
+// Concurrent scans each compute against the baseline they snapshotted —
+// any committed baseline is a self-consistent (reserves, prices, shards)
+// capture, so last-writer-wins is correct and the next diff simply runs
+// against whichever baseline landed.
+type Delta struct {
+	// cfg is resolved once by NewDelta and never changes, which is what
+	// lets a baseline outlive the scan that captured it.
+	cfg   Config
 	mu    sync.Mutex
 	valid bool
 	base  baseline
@@ -79,23 +80,21 @@ type DeltaState struct {
 	fullScans, deltaScans, shardScans uint64
 }
 
+// NewDelta builds a delta engine bound to cfg, resolving its defaults
+// once: Shards and Parallelism take the GOMAXPROCS of this call, and a
+// later GOMAXPROCS change neither re-partitions the baseline nor forces
+// a full scan. cfg.Workers is ignored — the worker pool is the one input
+// block-driven callers vary, so Scan takes it per call.
+func NewDelta(cfg Config) *Delta {
+	return &Delta{cfg: cfg.Resolve()}
+}
+
 // poolMeta is the topology identity of one canonical pool — everything
 // the Fingerprint hashes, kept unhashed so the per-block topology check
 // is a field compare instead of a SHA-256 pass.
 type poolMeta struct {
 	id, token0, token1 string
 	fee                float64
-}
-
-// scanBounds are the Config fields that shape a captured baseline beyond
-// the strategy: results captured under one set must never merge into a
-// scan running another.
-type scanBounds struct {
-	minLen, maxLen, maxCycles, shards int
-}
-
-func boundsOf(cfg Config) scanBounds {
-	return scanBounds{minLen: cfg.MinLen, maxLen: cfg.MaxLen, maxCycles: cfg.MaxCycles, shards: cfg.Shards}
 }
 
 // baseline is one captured scan, immutable once committed: every field
@@ -105,17 +104,6 @@ func boundsOf(cfg Config) scanBounds {
 type baseline struct {
 	top  *topology
 	plan *shardPlan
-	// strat and stratKey identify the strategy the results were
-	// optimized with: strat for the fast identity compare (the Scanner
-	// passes the same interface value every block), stratKey — the
-	// recursive deterministic rendering — for callers constructing a
-	// fresh strategy object per scan. stratKeyOK records whether the
-	// strategy was keyable at capture; when false only the identity
-	// compare can match.
-	strat      strategy.Strategy
-	stratKey   string
-	stratKeyOK bool
-	bounds     scanBounds
 	// meta is the canonical pool set's topology identity at capture.
 	meta []poolMeta
 	// reserves[i] holds {Reserve0, Reserve1} of canonical pool i at the
@@ -128,12 +116,11 @@ type baseline struct {
 }
 
 // snapshot returns the current baseline (under mu) without judging
-// usability — the caller checks topology, strategy, and bounds against
-// its own scan inputs.
-func (st *DeltaState) snapshot() (baseline, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.base, st.valid
+// usability — the caller checks the topology against its own pools.
+func (d *Delta) snapshot() (baseline, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.base, d.valid
 }
 
 // deltaEntry is one cycle's captured outcome (meaningful only when the
@@ -144,7 +131,7 @@ type deltaEntry struct {
 	err    error
 }
 
-// DeltaStats counts how RunDelta resolved its calls: on the fast path or
+// DeltaStats counts how a Delta resolved its scans: on the fast path or
 // through the full-scan fallback, and how much shard work the fast path
 // did.
 type DeltaStats struct {
@@ -160,192 +147,54 @@ type DeltaStats struct {
 }
 
 // bump records one resolution. Takes the lock itself.
-func (st *DeltaState) bump(full bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+func (d *Delta) bump(full bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if full {
-		st.fullScans++
+		d.fullScans++
 	} else {
-		st.deltaScans++
+		d.deltaScans++
 	}
 }
 
-// Stats returns the state's lifetime counters.
-func (st *DeltaState) Stats() DeltaStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s := DeltaStats{FullScans: st.fullScans, DeltaScans: st.deltaScans, ShardsScanned: st.shardScans}
-	if st.valid && st.base.plan != nil {
-		s.Shards = st.base.plan.n
+// Stats returns the engine's lifetime counters.
+func (d *Delta) Stats() DeltaStats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := DeltaStats{FullScans: d.fullScans, DeltaScans: d.deltaScans, ShardsScanned: d.shardScans}
+	if d.valid && d.base.plan != nil {
+		s.Shards = d.base.plan.n
 	}
 	return s
 }
 
 // checkoutScratch hands the reusable arena to one scan (a fresh one when
 // another scan holds it); putScratch returns it.
-func (st *DeltaState) checkoutScratch() *scratch {
-	st.mu.Lock()
-	scr := st.scr
-	st.scr = nil
-	st.mu.Unlock()
+func (d *Delta) checkoutScratch() *scratch {
+	d.mu.Lock()
+	scr := d.scr
+	d.scr = nil
+	d.mu.Unlock()
 	if scr == nil {
 		scr = &scratch{}
 	}
 	return scr
 }
 
-func (st *DeltaState) putScratch(scr *scratch) {
-	st.mu.Lock()
-	st.scr = scr
-	st.mu.Unlock()
-}
-
-// maxKeyDepth bounds the recursive strategy-key renderer. Real
-// strategies are one or two levels of config structs; anything deeper
-// (or self-referential) is declared unkeyable rather than risking an
-// unbounded walk.
-const maxKeyDepth = 8
-
-// strategyKey renders a strategy's identity deterministically: its name
-// plus a recursive rendering of its configuration value that follows
-// pointers at *every* level, so two separately allocated strategies
-// with equal parameters always produce equal keys. The predecessor of
-// this function formatted the value with %#v after dereferencing only
-// the top level — a strategy with a *nested* pointer field still
-// rendered that field as an address, and a caller constructing the
-// strategy fresh each block silently forced a full scan every block
-// (the PR-4 deltaKey bug, one level down; arblint's pointerfmt analyzer
-// now rejects the old shape outright).
-//
-// ok=false means the strategy is not deterministically keyable (it
-// carries a map, channel, function, or unsafe field, or nests deeper
-// than maxKeyDepth). Unkeyable strategies still ride the delta path
-// when the caller passes the same Strategy value every scan (interface
-// identity match in usable); a fresh-constructed unkeyable strategy
-// falls back to full scans, which is the safe direction.
-func strategyKey(s strategy.Strategy) (key string, ok bool) {
-	var b strings.Builder
-	b.WriteString(s.Name())
-	b.WriteByte('|')
-	if !appendKeyValue(&b, reflect.ValueOf(s), 0) {
-		return "", false
-	}
-	return b.String(), true
-}
-
-// appendKeyValue renders v into b, returning false when v (or anything
-// it reaches) has no deterministic rendering. Pointers and interfaces
-// are followed, never printed: no machine address can reach the key.
-func appendKeyValue(b *strings.Builder, v reflect.Value, depth int) bool {
-	if depth > maxKeyDepth {
-		return false
-	}
-	if !v.IsValid() {
-		b.WriteString("nil")
-		return true
-	}
-	switch v.Kind() {
-	case reflect.Pointer:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return true
-		}
-		// Transparent dereference: a strategy held by pointer and the
-		// same strategy held by value are the same configuration.
-		return appendKeyValue(b, v.Elem(), depth+1)
-	case reflect.Interface:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return true
-		}
-		// The dynamic type is part of the identity (two strategies may
-		// hold different implementations with equal field sets).
-		b.WriteString(v.Elem().Type().String())
-		b.WriteByte(':')
-		return appendKeyValue(b, v.Elem(), depth+1)
-	case reflect.Struct:
-		t := v.Type()
-		b.WriteString(t.String())
-		b.WriteByte('{')
-		for i := 0; i < t.NumField(); i++ {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(t.Field(i).Name)
-			b.WriteByte(':')
-			if !appendKeyValue(b, v.Field(i), depth+1) {
-				return false
-			}
-		}
-		b.WriteByte('}')
-		return true
-	case reflect.Slice:
-		if v.IsNil() {
-			b.WriteString("nil")
-			return true
-		}
-		fallthrough
-	case reflect.Array:
-		b.WriteByte('[')
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			if !appendKeyValue(b, v.Index(i), depth+1) {
-				return false
-			}
-		}
-		b.WriteByte(']')
-		return true
-	case reflect.Bool:
-		b.WriteString(strconv.FormatBool(v.Bool()))
-		return true
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		b.WriteString(strconv.FormatInt(v.Int(), 10))
-		return true
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		b.WriteString(strconv.FormatUint(v.Uint(), 10))
-		return true
-	case reflect.Float32, reflect.Float64:
-		b.WriteString(strconv.FormatFloat(v.Float(), 'g', -1, 64))
-		return true
-	case reflect.String:
-		b.WriteString(strconv.Quote(v.String()))
-		return true
-	default:
-		// Map (nondeterministic iteration), chan, func, complex, unsafe:
-		// no deterministic identity.
-		return false
-	}
-}
-
-// comparableValue reports whether the dynamic type of s supports ==.
-func comparableValue(s any) bool {
-	t := reflect.TypeOf(s)
-	return t != nil && t.Comparable()
+func (d *Delta) putScratch(scr *scratch) {
+	d.mu.Lock()
+	d.scr = scr
+	d.mu.Unlock()
 }
 
 // usable reports whether the captured baseline can serve a delta scan of
-// the given canonical pools under cfg: same bounds and shard count, same
-// strategy, and an identical pool topology (metadata compared
-// field-by-field — the allocation-free equivalent of a fingerprint
-// match).
-func (b *baseline) usable(pools []*amm.Pool, cfg Config) bool {
-	if b.bounds != boundsOf(cfg) || len(pools) != len(b.meta) {
+// the given canonical pools: an identical pool topology, metadata
+// compared field-by-field (the allocation-free equivalent of a
+// fingerprint match). Strategy, bounds, and shard count need no check —
+// the engine's config cannot change under its baseline.
+func (b *baseline) usable(pools []*amm.Pool) bool {
+	if len(pools) != len(b.meta) {
 		return false
-	}
-	same := false
-	if b.strat != nil && comparableValue(b.strat) && comparableValue(cfg.Strategy) {
-		same = b.strat == cfg.Strategy
-	}
-	if !same {
-		if !b.stratKeyOK {
-			return false
-		}
-		key, ok := strategyKey(cfg.Strategy)
-		if !ok || key != b.stratKey {
-			return false
-		}
 	}
 	for i, p := range pools {
 		m := &b.meta[i]
@@ -431,43 +280,43 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 	s.symbols = s.symbols[:0]
 }
 
-// RunDelta scans the pool set, re-optimizing only the loops affected by
-// reserve or price changes since the previous scan through st and merging
+// Scan scans the pool set, re-optimizing only the loops affected by
+// reserve or price changes since the engine's previous scan and merging
 // the rest from the captured results. The report is identical — results,
-// ordering, counters — to a full Run over the same pools and prices,
-// except that TopologyCacheHit reflects the delta path and
-// LoopsReoptimized/LoopsReused/ShardsScanned expose the work split.
+// ordering, counters — to a full Run over the same pools and prices
+// under the engine's config, except that TopologyCacheHit reflects the
+// delta path and LoopsReoptimized/LoopsReused/ShardsScanned expose the
+// work split. workers, when non-nil, runs the parallel phases on a
+// persistent goroutine pool.
 //
 // hint optionally names pools the caller already knows changed (e.g.
 // feed.Update.ChangedPools); it widens the self-computed dirty set and is
 // never trusted to narrow it, so a stale or incomplete hint — coalesced
 // feed updates, a skipped version — cannot produce a wrong report.
 //
-// RunDelta falls back to a full scan (capturing fresh state) whenever st
-// has no usable baseline: the first scan, a changed topology, changed
-// enumeration bounds or shard count, or a changed strategy.
+// Scan falls back to a full scan (capturing fresh state) whenever the
+// engine has no usable baseline: the first scan, or a changed topology.
 //
-// RunDelta is the steady-state per-block path, pinned to a ~7-alloc
+// Scan is the steady-state per-block path, pinned to a ~7-alloc
 // budget (TestDeltaScanAllocBudget, TestTelemetryScanAllocs). Every
 // deliberate allocation below carries an //arblint:ignore with its
 // reason; anything new must either ride the scratch arena or justify
 // itself the same way.
 //
 //arblint:hotpath
-func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices source.PriceSource, cfg Config, st *DeltaState) (Report, error) {
-	cfg = cfg.withDefaults()
+func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, prices source.PriceSource, workers *Workers) (Report, error) {
 	pools = Canonicalize(pools)
 	if len(pools) == 0 {
 		return Report{}, errNoPools
 	}
 
-	base, ok := st.snapshot()
-	if !ok || !base.usable(pools, cfg) {
-		st.bump(true)
-		return runCapture(ctx, pools, prices, cfg, st)
+	base, ok := d.snapshot()
+	if !ok || !base.usable(pools) {
+		d.bump(true)
+		return d.capture(ctx, pools, prices, workers)
 	}
-	st.bump(false)
-	m := cfg.Metrics
+	d.bump(false)
+	m := d.cfg.Metrics
 	var start, t time.Time
 	timed := false
 	if m != nil {
@@ -485,8 +334,8 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		return Report{}, err
 	}
 
-	scr := st.checkoutScratch()
-	defer st.putScratch(scr)
+	scr := d.checkoutScratch()
+	defer d.putScratch(scr)
 	scr.reset(len(pools), len(top.cycles), plan.n)
 
 	// Dirty pools: the reserve diff against the captured baseline is
@@ -537,7 +386,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		scr.shardErrs = growSlice(scr.shardErrs, n)
 		clear(scr.shardErrs)
 		//arblint:ignore hotpath dirty-shard fan-out only: clean steady-state scans never reach this branch, and the capture is one closure per dirty scan
-		forEachIndex(ctx, cfg.Workers, cfg.Parallelism, n, func(k int) bool {
+		forEachIndex(ctx, workers, d.cfg.Parallelism, n, func(k int) bool {
 			s := scr.dirtyShards[k]
 			sb := cloneShardBase(base.shards[s])
 			scr.newShard[s] = sb
@@ -638,7 +487,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		scr.symbols = append(scr.symbols, tok)
 	}
 	slices.Sort(scr.symbols)
-	pm, degraded, err := fetchPriceSymbols(ctx, prices, scr.symbols, cfg.StageTimeout)
+	pm, degraded, err := fetchPriceSymbols(ctx, prices, scr.symbols, d.cfg.StageTimeout)
 	if err != nil {
 		return Report{}, err
 	}
@@ -691,7 +540,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		e := sb.entries[plan.localOf[ci]]
 		scr.all[li] = Result{Index: li, Loop: e.loop, Result: e.result, Err: e.err}
 	}
-	optimizeInto(ctx, scr.loops, pm, scr.jobs, scr.prevRes, scr.all, cfg)
+	optimizeInto(ctx, scr.loops, pm, scr.jobs, scr.prevRes, scr.all, d.cfg, workers)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -721,7 +570,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 	// assembleReport only reads the detection within the call, so the
 	// scratch arena carries it across blocks instead of the heap.
 	scr.det = detection{graph: g, top: top, loops: scr.loops, prices: pm, cacheHit: true, degraded: degraded}
-	rep, err := assembleReport(&scr.det, cfg, scr.all, len(scr.jobs), len(scr.loops)-len(scr.jobs))
+	rep, err := assembleReport(&scr.det, d.cfg, scr.all, len(scr.jobs), len(scr.loops)-len(scr.jobs))
 	if err != nil {
 		return Report{}, err
 	}
@@ -751,7 +600,7 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 		next.reserves = reserves
 		next.prices = pm
 		next.shards = shards
-		st.commitBase(next, shardsScanned)
+		d.commitBase(next, shardsScanned)
 	}
 	if timed {
 		now := time.Now()
@@ -761,41 +610,41 @@ func RunDelta(ctx context.Context, pools []*amm.Pool, hint []string, prices sour
 	return rep, nil
 }
 
-// runCapture is the full-scan fallback: one complete detection +
+// capture is the full-scan fallback: one complete detection +
 // optimization pass that also captures per-shard state for the next
 // delta scan. pools must be canonical.
-func runCapture(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config, st *DeltaState) (Report, error) {
-	m := cfg.Metrics
+func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, workers *Workers) (Report, error) {
+	m := d.cfg.Metrics
 	var start, t time.Time
 	if m != nil {
 		start = time.Now()
 		m.FullScans.Inc()
 	}
-	d, err := detect(ctx, pools, prices, cfg)
+	det, err := detect(ctx, pools, prices, d.cfg)
 	if err != nil {
 		return Report{}, err
 	}
 	if m != nil {
 		t = time.Now()
 	}
-	all := collectAll(ctx, d, cfg)
+	all := collectAll(ctx, det, d.cfg, workers)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
 	if m != nil {
 		now := time.Now()
 		m.StageOptimize.Observe(now.Sub(t))
-		m.LoopsReoptimized.Add(uint64(len(d.loops)))
+		m.LoopsReoptimized.Add(uint64(len(det.loops)))
 		t = now
 	}
-	rep, err := assembleReport(d, cfg, all, len(d.loops), 0)
+	rep, err := assembleReport(det, d.cfg, all, len(det.loops), 0)
 	if err != nil {
 		return Report{}, err
 	}
 
-	plan := buildShardPlan(d.top, cfg.Shards)
-	loopCycle := make([]int, len(d.loops))
-	for ci, li := range d.loopOf {
+	plan := buildShardPlan(det.top, d.cfg.Shards)
+	loopCycle := make([]int, len(det.loops))
+	for ci, li := range det.loopOf {
 		if li >= 0 {
 			loopCycle[li] = ci
 		}
@@ -808,18 +657,13 @@ func runCapture(ctx context.Context, pools []*amm.Pool, prices source.PriceSourc
 	for i, p := range pools {
 		reserves[i] = [2]float64{p.Reserve0, p.Reserve1}
 	}
-	key, keyOK := strategyKey(cfg.Strategy)
-	st.commitBase(baseline{
-		top:        d.top,
-		plan:       plan,
-		strat:      cfg.Strategy,
-		stratKey:   key,
-		stratKeyOK: keyOK,
-		bounds:     boundsOf(cfg),
-		meta:       meta,
-		reserves:   reserves,
-		prices:     d.prices,
-		shards:     splitCapture(plan, d.orient, loopCycle, all),
+	d.commitBase(baseline{
+		top:      det.top,
+		plan:     plan,
+		meta:     meta,
+		reserves: reserves,
+		prices:   det.prices,
+		shards:   splitCapture(plan, det.orient, loopCycle, all),
 	}, plan.n)
 	rep.ShardsScanned = plan.n
 	if m != nil {
@@ -835,10 +679,10 @@ func runCapture(ctx context.Context, pools []*amm.Pool, prices source.PriceSourc
 // (dirty shard baselines are fresh copies, clean ones shared — either
 // way nothing a concurrent snapshot holds is mutated). Takes the lock
 // itself.
-func (st *DeltaState) commitBase(b baseline, shardsScanned int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.valid = true
-	st.base = b
-	st.shardScans += uint64(shardsScanned)
+func (d *Delta) commitBase(b baseline, shardsScanned int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.valid = true
+	d.base = b
+	d.shardScans += uint64(shardsScanned)
 }

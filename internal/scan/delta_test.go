@@ -9,7 +9,6 @@ import (
 	"arbloop/internal/cex"
 	"arbloop/internal/market"
 	"arbloop/internal/source"
-	"arbloop/internal/strategy"
 )
 
 // deltaMarket builds the §VI synthetic market as mutable pool values plus
@@ -102,9 +101,9 @@ func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	st := &DeltaState{}
+	st := NewDelta(Config{})
 
-	delta, err := RunDelta(ctx, pools, nil, src, Config{}, st)
+	delta, err := st.Scan(ctx, pools, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +136,8 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 		{MinProfitUSD: 1, TopK: 10},
 		{MinLen: 3, MaxLen: 4},
 	} {
-		st := &DeltaState{}
-		if _, err := RunDelta(ctx, pools, nil, src, cfg, st); err != nil {
+		st := NewDelta(cfg)
+		if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
 			t.Fatal(err)
 		}
 		state := pools
@@ -147,7 +146,7 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 			dirtyN := 1 + rng.Intn(len(state)/10)
 			state = perturb(t, rng, state, dirtyN)
 
-			delta, err := RunDelta(ctx, state, nil, src, cfg, st)
+			delta, err := st.Scan(ctx, state, nil, src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,14 +180,14 @@ func TestRunDeltaSmallDirtySetReoptimizesFew(t *testing.T) {
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{}, st); err != nil {
+	st := NewDelta(Config{})
+	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	dirtyN := len(pools) / 10
 	state := perturb(t, rng, pools, dirtyN)
-	delta, err := RunDelta(ctx, state, nil, src, Config{}, st)
+	delta, err := st.Scan(ctx, state, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +229,8 @@ func TestRunDeltaSmallDirtySetReoptimizesFew(t *testing.T) {
 func TestRunDeltaPriceMoveReoptimizesTouchedLoops(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, cex.NewStatic(prices), Config{}, st); err != nil {
+	st := NewDelta(Config{})
+	if _, err := st.Scan(ctx, pools, nil, cex.NewStatic(prices), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +241,7 @@ func TestRunDeltaPriceMoveReoptimizesTouchedLoops(t *testing.T) {
 		moved[k] = v
 	}
 	moved["WETH"] *= 1.05
-	delta, err := RunDelta(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), Config{}, st)
+	delta, err := st.Scan(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +262,13 @@ func TestRunDeltaTopologyChangeFallsBack(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{}, st); err != nil {
+	st := NewDelta(Config{})
+	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	grown := append(rebuild(t, pools), amm.MustNewPool("zz-new", "WETH", "USDC", 500, 900_000, amm.DefaultFee))
-	delta, err := RunDelta(ctx, grown, nil, src, Config{}, st)
+	delta, err := st.Scan(ctx, grown, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +284,7 @@ func TestRunDeltaTopologyChangeFallsBack(t *testing.T) {
 	// And the next reserve-only update delta-scans against the new topology.
 	rng := rand.New(rand.NewSource(11))
 	next := perturb(t, rng, grown, 3)
-	delta2, err := RunDelta(ctx, next, nil, src, Config{}, st)
+	delta2, err := st.Scan(ctx, next, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +302,8 @@ func TestRunDeltaPermutedPoolsNoDirty(t *testing.T) {
 	ctx := context.Background()
 	cache := NewCache(0)
 	cfg := Config{Cache: cache}
-	st := &DeltaState{}
-	first, err := RunDelta(ctx, pools, nil, src, cfg, st)
+	st := NewDelta(cfg)
+	first, err := st.Scan(ctx, pools, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +312,7 @@ func TestRunDeltaPermutedPoolsNoDirty(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	second, err := RunDelta(ctx, shuffled, nil, src, cfg, st)
+	second, err := st.Scan(ctx, shuffled, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,72 +356,19 @@ func TestRunPermutedPoolsCacheHit(t *testing.T) {
 	requireSameReport(t, second, first)
 }
 
-// TestRunDeltaStrategyChangeFallsBack: a different strategy over the same
-// pools must never merge the previous strategy's cached results.
-func TestRunDeltaStrategyChangeFallsBack(t *testing.T) {
-	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{Strategy: strategy.MaxMaxStrategy{}}, st); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := RunDelta(ctx, rebuild(t, pools), nil, src, Config{Strategy: strategy.MaxPriceStrategy{}}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Strategy != strategy.NameMaxPrice {
-		t.Errorf("report strategy = %q", rep.Strategy)
-	}
-	if rep.LoopsReused != 0 {
-		t.Errorf("strategy change reused %d of the other strategy's results", rep.LoopsReused)
-	}
-	for _, r := range rep.Results {
-		if r.Result.Strategy != strategy.NameMaxPrice {
-			t.Fatalf("result %d carries %q numbers under a %q scan", r.Index, r.Result.Strategy, strategy.NameMaxPrice)
-		}
-	}
-	if s := st.Stats(); s.FullScans != 2 {
-		t.Errorf("strategy change did not fall back to a full scan: %+v", s)
-	}
-}
-
-// TestRunDeltaStrategyParamsChangeFallsBack: two parameterizations of the
-// same-named strategy are different strategies to the baseline key.
-func TestRunDeltaStrategyParamsChangeFallsBack(t *testing.T) {
-	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{Strategy: strategy.TraditionalStrategy{}}, st); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunDelta(ctx, rebuild(t, pools), nil, src, Config{Strategy: strategy.TraditionalStrategy{Start: "WETH"}}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LoopsReused != 0 {
-		t.Errorf("changed Start parameter reused %d anchor-start results", rep.LoopsReused)
-	}
-	if s := st.Stats(); s.FullScans != 2 {
-		t.Errorf("parameter change did not fall back to a full scan: %+v", s)
-	}
-}
-
 func TestRunDeltaHintOnlyWidens(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{}, st); err != nil {
+	st := NewDelta(Config{})
+	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// A hint naming a clean pool forces its loops to re-optimize (widening
 	// is allowed) but cannot change the report.
 	hint := []string{pools[0].ID, "no-such-pool"}
-	delta, err := RunDelta(ctx, rebuild(t, pools), hint, src, Config{}, st)
+	delta, err := st.Scan(ctx, rebuild(t, pools), hint, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ import (
 )
 
 // errNoPools is preallocated: it is returned from the hot per-block
-// path (RunDelta), which must not construct errors per call.
+// path (Delta.Scan), which must not construct errors per call.
 var errNoPools = errors.New("scan: no pools to scan")
 
 // ErrStrategyPanic wraps a panic recovered from a Strategy.Optimize (or
@@ -62,15 +62,17 @@ func LoopFromDirected(g *graph.Graph, d cycles.Directed) (*strategy.Loop, error)
 	return l, nil
 }
 
-// Config tunes one scan. The zero value scans length-3 loops with the
+// Config tunes a scan. The zero value scans length-3 loops with the
 // MaxMax strategy at GOMAXPROCS parallelism and keeps every profitable
-// result.
+// result. Run and Stream resolve defaults per call; a Delta resolves them
+// once, at NewDelta, and keeps them for its life (see Resolve).
 type Config struct {
 	// MinLen and MaxLen bound the loop length (defaults 3, 3).
 	MinLen, MaxLen int
 	// Strategy is the per-loop optimizer (default MaxMaxStrategy).
 	Strategy strategy.Strategy
-	// Parallelism bounds the optimization worker pool (default GOMAXPROCS).
+	// Parallelism bounds the optimization worker pool (default
+	// GOMAXPROCS when resolved).
 	Parallelism int
 	// MinProfitUSD drops results predicted below this (default 0: keep all
 	// non-negative results).
@@ -89,17 +91,18 @@ type Config struct {
 	// pool sets skip enumeration and only re-orient + re-optimize.
 	Cache *Cache
 	// Shards partitions the cycle set for the delta path (default
-	// GOMAXPROCS): each shard owns the captured state of its cycles, and
-	// a delta scan re-orients only the shards whose dirty set is
-	// non-empty, in parallel. Full scans ignore it. See shard.go.
+	// GOMAXPROCS at NewDelta, fixed for the engine's life): each shard
+	// owns the captured state of its cycles, and a delta scan re-orients
+	// only the shards whose dirty set is non-empty, in parallel. Full
+	// scans ignore it. See shard.go.
 	Shards int
-	// Workers, when non-nil, runs the scan's parallel phases on a
-	// persistent goroutine pool instead of spawning goroutines per scan —
-	// the block-driven serving configuration (Scanner.Watch, Bot.Run).
+	// Workers, when non-nil, runs Run's and Stream's parallel phases on a
+	// persistent goroutine pool instead of spawning goroutines per scan.
+	// A Delta ignores it and takes its pool per Scan call instead.
 	Workers *Workers
 	// DisableDelta turns the public Scanner's delta path off (its Watch
 	// and ScanDelta fall back to full scans). The engine itself ignores
-	// it: Run is always a full scan and RunDelta is always delta-capable.
+	// it: Run is always a full scan and a Delta is always delta-capable.
 	DisableDelta bool
 	// Metrics, when non-nil, receives per-stage latencies, scan/loop
 	// counters, per-pool dirtiness EMAs, and per-shard wake-up counts
@@ -123,7 +126,11 @@ type Config struct {
 	WarmHints *WarmHints
 }
 
-func (c Config) withDefaults() Config {
+// Resolve returns c with every unset field at its default. Parallelism
+// and Shards default to the GOMAXPROCS of the call, so a long-lived
+// engine resolves once (NewDelta, arbloop.NewScanner) and keeps its
+// partition and pool width when GOMAXPROCS later changes.
+func (c Config) Resolve() Config {
 	if c.MinLen <= 0 {
 		c.MinLen = 3
 	}
@@ -178,7 +185,7 @@ type Report struct {
 	TopologyCacheHit bool
 	// LoopsReoptimized counts loops whose Strategy.Optimize actually ran
 	// this scan. A full scan re-optimizes every detected loop; a delta
-	// scan (RunDelta) only the loops touching a dirty pool or a moved
+	// scan (Delta.Scan) only the loops touching a dirty pool or a moved
 	// price.
 	LoopsReoptimized int
 	// LoopsReused counts loops merged from the previous scan's results
@@ -464,8 +471,9 @@ func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, j
 // prev, when non-nil, carries each loop's previous captured result
 // (indexed like loops; nil entries mean no usable capture). Strategies
 // implementing strategy.WarmStarter re-optimize from it — the delta
-// path's cross-block warm start; other strategies ignore it.
-func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, prev []*strategy.Result, out []Result, cfg Config) {
+// path's cross-block warm start; other strategies ignore it. pool, when
+// non-nil, runs the parallel path on persistent goroutines.
+func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, prev []*strategy.Result, out []Result, cfg Config, pool *Workers) {
 	if len(jobsList) == 0 {
 		return
 	}
@@ -484,7 +492,7 @@ func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.Price
 		}
 		return
 	}
-	forEachIndex(ctx, cfg.Workers, workers, len(jobsList), func(k int) bool {
+	forEachIndex(ctx, pool, workers, len(jobsList), func(k int) bool {
 		i := jobsList[k]
 		res, err := optimizeOne(ctx, cfg.Strategy, warm, loops[i], pm, prevFor(prev, i), cfg.Metrics)
 		out[i] = Result{Index: i, Loop: loops[i], Result: res, Err: err}
@@ -601,7 +609,7 @@ func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused 
 
 // Run scans the pool set once and returns the ranked batch report.
 func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config) (Report, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Resolve()
 	m := cfg.Metrics
 	var start, t time.Time
 	if m != nil {
@@ -615,7 +623,7 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 	if m != nil {
 		t = time.Now()
 	}
-	all := collectAll(ctx, d, cfg)
+	all := collectAll(ctx, d, cfg, cfg.Workers)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -636,7 +644,7 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 // previous results when the strategy can warm-start; the set is
 // take-once, so only the first scan through a given hint set pays the
 // matching cost.
-func collectAll(ctx context.Context, d *detection, cfg Config) []Result {
+func collectAll(ctx context.Context, d *detection, cfg Config, pool *Workers) []Result {
 	all := make([]Result, len(d.loops))
 	var prev []*strategy.Result
 	if cfg.WarmHints != nil {
@@ -644,7 +652,7 @@ func collectAll(ctx context.Context, d *detection, cfg Config) []Result {
 			prev = cfg.WarmHints.take(d.loops)
 		}
 	}
-	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), prev, all, cfg)
+	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), prev, all, cfg, pool)
 	return all
 }
 
@@ -654,7 +662,7 @@ func collectAll(ctx context.Context, d *detection, cfg Config) []Result {
 // detection-stage failure arrives as a single Result with Err set and a
 // nil Loop.
 func Stream(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg Config) <-chan Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Resolve()
 	out := make(chan Result)
 	go func() {
 		defer close(out)

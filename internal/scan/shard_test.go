@@ -3,7 +3,6 @@ package scan
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"arbloop/internal/amm"
@@ -113,8 +112,8 @@ func TestRunDeltaShardedEquivalence(t *testing.T) {
 				cfg.Workers = pool
 			}
 			rng := rand.New(rand.NewSource(int64(100*shards + par)))
-			st := &DeltaState{}
-			first, err := RunDelta(ctx, pools, nil, src, cfg, st)
+			st := NewDelta(cfg)
+			first, err := st.Scan(ctx, pools, nil, src, cfg.Workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +123,7 @@ func TestRunDeltaShardedEquivalence(t *testing.T) {
 			state := pools
 			for round := 0; round < 6; round++ {
 				state = perturb(t, rng, state, 1+rng.Intn(len(state)/10))
-				delta, err := RunDelta(ctx, state, nil, src, cfg, st)
+				delta, err := st.Scan(ctx, state, nil, src, cfg.Workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,13 +157,13 @@ func TestRunDeltaShardsScannedSubset(t *testing.T) {
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	cfg := Config{Shards: 8}
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, cfg, st); err != nil {
+	st := NewDelta(cfg)
+	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
 	state := perturb(t, rng, pools, 1)
-	rep, err := RunDelta(ctx, state, nil, src, cfg, st)
+	rep, err := st.Scan(ctx, state, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,171 +172,6 @@ func TestRunDeltaShardsScannedSubset(t *testing.T) {
 	}
 	if s := st.Stats(); s.ShardsScanned != 8+uint64(rep.ShardsScanned) {
 		t.Errorf("cumulative ShardsScanned = %d, want %d", s.ShardsScanned, 8+rep.ShardsScanned)
-	}
-}
-
-// TestRunDeltaShardCountChangeFallsBack: a changed shard count cannot
-// reuse the old partition's baselines.
-func TestRunDeltaShardCountChangeFallsBack(t *testing.T) {
-	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{Shards: 2}, st); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunDelta(ctx, rebuild(t, pools), nil, src, Config{Shards: 4}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LoopsReused != 0 {
-		t.Errorf("shard count change reused %d loops across partitions", rep.LoopsReused)
-	}
-	if s := st.Stats(); s.FullScans != 2 || s.Shards != 4 {
-		t.Errorf("stats = %+v, want 2 full scans at 4 shards", s)
-	}
-}
-
-// TestStrategyKeyDereferencesPointers is the regression test for the
-// %#v pointer-rendering bug: a pointer strategy used to render its
-// address into the baseline key, so callers constructing
-// &ConvexStrategy{...} per block silently got a full scan every block.
-func TestStrategyKeyDereferencesPointers(t *testing.T) {
-	got := mustKey(t, &strategy.ConvexStrategy{})
-	want := mustKey(t, strategy.ConvexStrategy{})
-	if got != want {
-		t.Errorf("pointer key %q != value key %q", got, want)
-	}
-	a := mustKey(t, &strategy.ConvexStrategy{})
-	b := mustKey(t, &strategy.ConvexStrategy{})
-	if a != b {
-		t.Errorf("two fresh pointers render different keys:\n%q\n%q", a, b)
-	}
-	// Parameterized strategies sharing a name must still differ.
-	if mustKey(t, strategy.TraditionalStrategy{}) == mustKey(t, strategy.TraditionalStrategy{Start: "WETH"}) {
-		t.Error("different Start parameters share a key")
-	}
-}
-
-func mustKey(t *testing.T, s strategy.Strategy) string {
-	t.Helper()
-	key, ok := strategyKey(s)
-	if !ok {
-		t.Fatalf("strategyKey(%T) not keyable", s)
-	}
-	return key
-}
-
-// nestedPtrStrategy has a pointer field one level down — the shape the
-// PR-4 fix still mishandled: dereferencing only the top level left %#v
-// to render Inner as an address.
-type nestedPtrStrategy struct {
-	Inner *nestedParams
-}
-
-type nestedParams struct {
-	Start string
-	Fee   float64
-}
-
-func (nestedPtrStrategy) Name() string { return "nested-ptr-test" }
-
-func (s nestedPtrStrategy) Optimize(ctx context.Context, l *strategy.Loop, prices strategy.PriceMap) (strategy.Result, error) {
-	return strategy.MaxMaxStrategy{}.Optimize(ctx, l, prices)
-}
-
-// unkeyableStrategy carries a map field: no deterministic rendering
-// exists, so strategyKey must reject it rather than guess.
-type unkeyableStrategy struct {
-	Overrides map[string]float64
-}
-
-func (unkeyableStrategy) Name() string { return "unkeyable-test" }
-
-func (s unkeyableStrategy) Optimize(ctx context.Context, l *strategy.Loop, prices strategy.PriceMap) (strategy.Result, error) {
-	return strategy.MaxMaxStrategy{}.Optimize(ctx, l, prices)
-}
-
-// TestStrategyKeyNestedPointerFields is the regression test for the
-// second-order deltaKey bug: strategies whose config nests pointers
-// must key by the pointed-to values, never by addresses.
-func TestStrategyKeyNestedPointerFields(t *testing.T) {
-	a := mustKey(t, nestedPtrStrategy{Inner: &nestedParams{Start: "WETH", Fee: 0.003}})
-	b := mustKey(t, nestedPtrStrategy{Inner: &nestedParams{Start: "WETH", Fee: 0.003}})
-	if a != b {
-		t.Errorf("equal nested configs render different keys:\n%q\n%q", a, b)
-	}
-	if strings.Contains(a, "0x") {
-		t.Errorf("key renders a machine address: %q", a)
-	}
-	if a == mustKey(t, nestedPtrStrategy{Inner: &nestedParams{Start: "DAI", Fee: 0.003}}) {
-		t.Error("different nested parameters share a key")
-	}
-	if a == mustKey(t, nestedPtrStrategy{}) {
-		t.Error("nil and non-nil nested pointers share a key")
-	}
-}
-
-// TestStrategyKeyUnkeyableFallsBackToFullScans: a strategy with no
-// deterministic rendering is rejected by strategyKey, and a fresh
-// construction per scan therefore runs full scans (identity matching
-// still keeps one long-lived value on the delta path).
-func TestStrategyKeyUnkeyableFallsBackToFullScans(t *testing.T) {
-	if _, ok := strategyKey(unkeyableStrategy{Overrides: map[string]float64{"WETH": 1}}); ok {
-		t.Fatal("map-carrying strategy reported keyable")
-	}
-
-	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	ctx := context.Background()
-
-	// Fresh unkeyable value per scan: every scan is a full scan.
-	st := &DeltaState{}
-	for i := 0; i < 2; i++ {
-		if _, err := RunDelta(ctx, pools, nil, src, Config{Strategy: unkeyableStrategy{Overrides: map[string]float64{}}}, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := st.Stats(); s.FullScans != 2 || s.DeltaScans != 0 {
-		t.Errorf("fresh unkeyable strategy: stats = %+v, want 2 full scans", s)
-	}
-
-	// The same pointer value every scan: identity match keeps the delta
-	// path engaged even though the strategy is unkeyable.
-	st2 := &DeltaState{}
-	same := &unkeyableStrategy{Overrides: map[string]float64{}}
-	for i := 0; i < 2; i++ {
-		if _, err := RunDelta(ctx, pools, nil, src, Config{Strategy: same}, st2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := st2.Stats(); s.FullScans != 1 || s.DeltaScans != 1 {
-		t.Errorf("identity-matched unkeyable strategy: stats = %+v, want 1 full + 1 delta", s)
-	}
-}
-
-// TestRunDeltaFreshPointerStrategyStaysOnFastPath drives the end-to-end
-// consequence: a caller building a fresh pointer strategy every scan
-// keeps the delta path engaged.
-func TestRunDeltaFreshPointerStrategyStaysOnFastPath(t *testing.T) {
-	pools, prices := deltaMarket(t)
-	src := cex.NewStatic(prices)
-	ctx := context.Background()
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, Config{Strategy: &strategy.MaxMaxStrategy{}}, st); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(31))
-	state := perturb(t, rng, pools, 3)
-	rep, err := RunDelta(ctx, state, nil, src, Config{Strategy: &strategy.MaxMaxStrategy{}}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LoopsReused == 0 {
-		t.Error("fresh pointer strategy forced a full rescan — key still renders the address")
-	}
-	if s := st.Stats(); s.FullScans != 1 || s.DeltaScans != 1 {
-		t.Errorf("stats = %+v, want 1 full + 1 delta", s)
 	}
 }
 
@@ -357,15 +191,15 @@ func TestOptimizeIntoZeroAllocPerLoop(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	d, err := detect(ctx, Canonicalize(pools), src, Config{}.withDefaults())
+	d, err := detect(ctx, Canonicalize(pools), src, Config{}.Resolve())
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs := allJobs(len(d.loops))
 	out := make([]Result, len(d.loops))
-	cfg := Config{Strategy: nullStrategy{}, Parallelism: 1}.withDefaults()
+	cfg := Config{Strategy: nullStrategy{}, Parallelism: 1}.Resolve()
 	allocs := testing.AllocsPerRun(20, func() {
-		optimizeInto(ctx, d.loops, d.prices, jobs, nil, out, cfg)
+		optimizeInto(ctx, d.loops, d.prices, jobs, nil, out, cfg, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("fan-out allocates %.1f per scan over %d loops, want 0", allocs, len(jobs))
@@ -386,15 +220,15 @@ func TestRunDeltaSteadyStateAllocBudget(t *testing.T) {
 	// Telemetry stays enabled: the budget must hold with every stage
 	// histogram, dirtiness EMA, and shard wake-up counter live.
 	cfg := Config{Strategy: nullStrategy{}, Parallelism: 1, Shards: 4, Metrics: NewMetrics()}
-	st := &DeltaState{}
-	if _, err := RunDelta(ctx, pools, nil, src, cfg, st); err != nil {
+	st := NewDelta(cfg)
+	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// Clean steady state: identical reserves, identical prices.
 	state := rebuild(t, pools)
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil {
+		if _, err := st.Scan(ctx, state, nil, src, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -410,7 +244,7 @@ func TestRunDeltaSteadyStateAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	dirtyAllocs := testing.AllocsPerRun(50, func() {
 		state = perturb(t, rng, state, 1)
-		if _, err := RunDelta(ctx, state, nil, src, cfg, st); err != nil {
+		if _, err := st.Scan(ctx, state, nil, src, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

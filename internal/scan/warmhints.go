@@ -24,17 +24,20 @@ type WarmHint struct {
 // re-aligned into the detected loop's indexing, and non-finite or
 // negative amounts disqualify a hint. The set is take-once: the first
 // full scan consumes it, and every later scan warm-starts from its own
-// previous results as usual.
+// previous results as usual. The zero value stages nothing. A caller
+// that learns its hints only after building its engines points the
+// config at an empty set up front and Stages into it later: every copy
+// of the config shares the one set.
 type WarmHints struct {
 	mu    sync.Mutex
 	hints map[string]WarmHint
 }
 
-// NewWarmHints builds a staged hint set. Hints with a degenerate shape
-// (no tokens, length mismatch) are dropped here; value sanity is checked
-// at match time. Returns nil when nothing usable remains, which callers
-// can assign to Config.WarmHints directly.
-func NewWarmHints(hints []WarmHint) *WarmHints {
+// Stage replaces the staged set with hints and reports whether any was
+// usable. Hints with a degenerate shape (no tokens, length mismatch) are
+// dropped here; value sanity is checked at match time. When nothing
+// usable remains the previous set is kept.
+func (w *WarmHints) Stage(hints []WarmHint) bool {
 	m := make(map[string]WarmHint, len(hints))
 	for _, h := range hints {
 		if len(h.Tokens) == 0 || len(h.Tokens) != len(h.Inputs) {
@@ -43,9 +46,12 @@ func NewWarmHints(hints []WarmHint) *WarmHints {
 		m[rotationKey(h.Tokens)] = h
 	}
 	if len(m) == 0 {
-		return nil
+		return false
 	}
-	return &WarmHints{hints: m}
+	w.mu.Lock()
+	w.hints = m
+	w.mu.Unlock()
+	return true
 }
 
 // rotationKey canonicalizes a token cycle up to rotation (direction

@@ -32,11 +32,11 @@ func hintLoop(t *testing.T, tokens []string) *strategy.Loop {
 
 func TestWarmHintsMatchRotation(t *testing.T) {
 	// Hint recorded in rotation (B, C, A); loop re-detected as (A, B, C).
-	wh := NewWarmHints([]WarmHint{{
+	wh := &WarmHints{}
+	if !wh.Stage([]WarmHint{{
 		Tokens: []string{"B", "C", "A"},
 		Inputs: []float64{2, 3, 1},
-	}})
-	if wh == nil {
+	}}) {
 		t.Fatal("hint set empty")
 	}
 	l := hintLoop(t, []string{"A", "B", "C"})
@@ -57,7 +57,8 @@ func TestWarmHintsMatchRotation(t *testing.T) {
 }
 
 func TestWarmHintsTakeOnce(t *testing.T) {
-	wh := NewWarmHints([]WarmHint{{Tokens: []string{"A", "B", "C"}, Inputs: []float64{1, 2, 3}}})
+	wh := &WarmHints{}
+	wh.Stage([]WarmHint{{Tokens: []string{"A", "B", "C"}, Inputs: []float64{1, 2, 3}}})
 	l := hintLoop(t, []string{"A", "B", "C"})
 	if prev := wh.take([]*strategy.Loop{l}); prev == nil {
 		t.Fatal("first take matched nothing")
@@ -77,17 +78,17 @@ func TestWarmHintsRejectsGarbage(t *testing.T) {
 		{Tokens: []string{"A", "C", "B"}, Inputs: []float64{1, 2, 3}}, // reversed direction
 	}
 	for i, h := range cases {
-		wh := NewWarmHints([]WarmHint{h})
-		if wh == nil {
-			continue // dropped at construction — also fine
+		wh := &WarmHints{}
+		if !wh.Stage([]WarmHint{h}) {
+			continue // dropped at staging — also fine
 		}
 		if prev := wh.take([]*strategy.Loop{l}); prev != nil && prev[0] != nil {
 			t.Fatalf("case %d: garbage hint %+v produced a warm start", i, h)
 		}
 	}
-	// Shape garbage never even constructs.
-	if wh := NewWarmHints([]WarmHint{{}, {Tokens: []string{"A"}, Inputs: []float64{1, 2}}}); wh != nil {
-		t.Fatal("degenerate hints produced a non-nil set")
+	// Shape garbage is never even staged.
+	if (&WarmHints{}).Stage([]WarmHint{{}, {Tokens: []string{"A"}, Inputs: []float64{1, 2}}}) {
+		t.Fatal("degenerate hints were staged")
 	}
 }
 
@@ -96,8 +97,8 @@ func TestWarmHintsNilSafe(t *testing.T) {
 	if prev := wh.take([]*strategy.Loop{hintLoop(t, []string{"A", "B", "C"})}); prev != nil {
 		t.Fatal("nil WarmHints returned hints")
 	}
-	if NewWarmHints(nil) != nil {
-		t.Fatal("empty hint list produced a non-nil set")
+	if (&WarmHints{}).Stage(nil) {
+		t.Fatal("empty hint list was staged")
 	}
 }
 

@@ -3,7 +3,6 @@ package arbloop
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"arbloop/internal/scan"
@@ -44,10 +43,15 @@ type ScanReport = scan.Report
 type Scanner struct {
 	pools  PoolSource
 	prices PriceSource
-	cfg    scan.Config
-	// delta is the previous-scan result cache behind ScanDelta/Watch
+	// cfg is resolved once by NewScanner.
+	cfg scan.Config
+	// delta is the delta engine behind ScanDelta/Watch, bound to cfg
 	// (nil when WithDeltaScans(false)).
-	delta *scan.DeltaState
+	delta *scan.Delta
+	// warm is the hint set cfg.WarmHints points at, so hints staged by
+	// PrimeWarmStarts after construction reach the delta engine's copy
+	// of the config too.
+	warm scan.WarmHints
 }
 
 // ScannerOption configures a Scanner.
@@ -86,8 +90,9 @@ func (e errStrategy) Optimize(context.Context, *Loop, PriceMap) (Result, error) 
 }
 
 // WithParallelism bounds the optimization worker pool (default
-// GOMAXPROCS). Parallelism 1 reproduces the sequential per-loop order of
-// work exactly.
+// GOMAXPROCS, resolved once at NewScanner: later GOMAXPROCS changes do
+// not resize it). Parallelism 1 reproduces the sequential per-loop order
+// of work exactly.
 func WithParallelism(n int) ScannerOption {
 	return func(c *scan.Config) { c.Parallelism = n }
 }
@@ -171,14 +176,14 @@ func WithStageTimeout(d time.Duration) ScannerOption {
 }
 
 // WithShards partitions the cycle set into n shards for the delta path
-// (default GOMAXPROCS). Each shard owns the remembered state of its
-// cycles — partitioned connected-component-aware over the pool→cycle
-// index — and a delta scan re-orients only the shards a dirty pool
-// touches, in parallel. Shards change how the work is organized, not
-// the results: reports are identical at every shard count.
+// (default GOMAXPROCS, resolved once at NewScanner: later GOMAXPROCS
+// changes do not re-partition). Each shard owns the remembered state of
+// its cycles — partitioned connected-component-aware over the
+// pool→cycle index — and a delta scan re-orients only the shards a dirty
+// pool touches, in parallel. Shards change how the work is organized,
+// not the results: reports are identical at every shard count.
 // WithParallelism independently bounds how many goroutines execute the
-// shard and per-loop work. Changing the shard count invalidates the
-// delta baseline (the next scan is a full capture).
+// shard and per-loop work.
 func WithShards(n int) ScannerOption {
 	return func(c *scan.Config) { c.Shards = n }
 }
@@ -211,12 +216,10 @@ type WarmHint = scan.WarmHint
 // token cycle matches a hint start from the recovered plan instead of
 // cold. Hints apply once, only when the configured strategy supports
 // warm starts, and malformed hints are ignored — priming can shorten the
-// first scan but never change its results. Call before the first scan;
-// later calls are ignored once scanning has begun.
+// first scan but never change its results. Call before the first scan:
+// hints staged later wait for the next full scan.
 func (s *Scanner) PrimeWarmStarts(hints []WarmHint) {
-	if wh := scan.NewWarmHints(hints); wh != nil {
-		s.cfg.WarmHints = wh
-	}
+	s.warm.Stage(hints)
 }
 
 // PrimeDirtiness seeds the per-pool dirtiness-rate EMAs with estimates
@@ -249,9 +252,11 @@ func NewScanner(pools PoolSource, prices PriceSource, opts ...ScannerOption) (*S
 	if es, bad := cfg.Strategy.(errStrategy); bad {
 		return nil, fmt.Errorf("arbloop: unknown strategy %q (registered: %v)", es.name, StrategyNames())
 	}
-	s := &Scanner{pools: pools, prices: prices, cfg: cfg}
+	s := &Scanner{pools: pools, prices: prices}
+	cfg.WarmHints = &s.warm
+	s.cfg = cfg.Resolve()
 	if !cfg.DisableDelta {
-		s.delta = &scan.DeltaState{}
+		s.delta = scan.NewDelta(s.cfg)
 	}
 	return s, nil
 }
@@ -341,26 +346,26 @@ func (s *Scanner) ScanVersioned(ctx context.Context, u PoolUpdate) (VersionedRep
 // not trusted from the update, so coalesced feeds (skipped versions) and
 // stale ChangedPools sets cannot produce a wrong report.
 func (s *Scanner) ScanDelta(ctx context.Context, u PoolUpdate) (VersionedReport, error) {
-	return s.scanUpdate(ctx, u, s.cfg)
+	return s.scanUpdate(ctx, u, nil)
 }
 
-// scanUpdate runs one versioned scan under the given engine config —
-// the delta path when the scanner has delta state, a full scan
-// otherwise. Watch passes a config wired to its persistent worker pool;
-// ScanDelta passes the scanner's plain config.
-func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, cfg scan.Config) (VersionedReport, error) {
-	if s.delta == nil {
-		start := time.Now()
-		rep, err := scan.Run(ctx, u.Pools, s.prices, cfg)
-		if err != nil {
-			return VersionedReport{}, fmt.Errorf("arbloop: scan version %d: %w", u.Version, err)
-		}
-		return VersionedReport{Version: u.Version, Height: u.Height, Report: rep, Elapsed: time.Since(start), ChangedPools: u.ChangedPools}, nil
-	}
+// scanUpdate runs one versioned scan on the given worker pool (nil:
+// spawn per scan) — the delta path when the scanner has a delta engine,
+// a full scan otherwise. Watch passes its persistent pool; ScanDelta
+// passes none.
+func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, workers *scan.Workers) (VersionedReport, error) {
 	start := time.Now()
-	rep, err := scan.RunDelta(ctx, u.Pools, u.ChangedPools, s.prices, cfg, s.delta)
+	var rep ScanReport
+	var err error
+	if s.delta != nil {
+		rep, err = s.delta.Scan(ctx, u.Pools, u.ChangedPools, s.prices, workers)
+	} else {
+		cfg := s.cfg
+		cfg.Workers = workers
+		rep, err = scan.Run(ctx, u.Pools, s.prices, cfg)
+	}
 	if err != nil {
-		return VersionedReport{}, fmt.Errorf("arbloop: delta scan version %d: %w", u.Version, err)
+		return VersionedReport{}, fmt.Errorf("arbloop: scan version %d: %w", u.Version, err)
 	}
 	return VersionedReport{
 		Version:      u.Version,
@@ -389,13 +394,7 @@ func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, cfg scan.Config)
 func (s *Scanner) Watch(ctx context.Context, w *Watcher) <-chan VersionedReport {
 	out := make(chan VersionedReport)
 	updates, cancel := w.Subscribe()
-	cfg := s.cfg
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pool := scan.NewWorkers(workers)
-	cfg.Workers = pool
+	pool := scan.NewWorkers(s.cfg.Parallelism)
 	go func() {
 		defer close(out)
 		defer cancel()
@@ -408,7 +407,7 @@ func (s *Scanner) Watch(ctx context.Context, w *Watcher) <-chan VersionedReport 
 				if !ok {
 					return
 				}
-				vr, err := s.scanUpdate(ctx, u, cfg)
+				vr, err := s.scanUpdate(ctx, u, pool)
 				if err != nil {
 					if ctx.Err() != nil {
 						return

@@ -104,11 +104,12 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 		}
 	}).NsPerOp())
 
-	// End-to-end overhead: ONE delta engine, one baseline, one pool set —
-	// only the Config.Metrics pointer differs between timed batches, so
-	// the comparison isolates the instrumentation writes from allocator
-	// layout and cache-warmth differences two separate scanner instances
-	// would carry. Interleaved batches, min of trials.
+	// End-to-end overhead: two delta engines over one pool set and one
+	// price source, identical but for the Metrics pointer each is bound
+	// to at construction. Each captures its own baseline, so the pair
+	// carries small allocator-layout and cache-warmth differences on top
+	// of the instrumentation writes; the interleaved pairs below absorb
+	// that noise.
 	ctx := context.Background()
 	snap, err := arbloop.GenerateMarket(arbloop.DefaultGeneratorConfig())
 	if err != nil {
@@ -123,9 +124,11 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 	cfgOff := scan.Config{Strategy: strategy.MaxMaxStrategy{}, Parallelism: 1, Shards: 4}
 	cfgOn := cfgOff
 	cfgOn.Metrics = scan.NewMetrics()
-	st := &scan.DeltaState{}
-	if _, err := scan.RunDelta(ctx, pools, nil, src, cfgOn, st); err != nil { // warm: capture + size metric vectors
-		t.Fatal(err)
+	plain, instrumented := scan.NewDelta(cfgOff), scan.NewDelta(cfgOn)
+	for _, d := range []*scan.Delta{plain, instrumented} {
+		if _, err := d.Scan(ctx, pools, nil, src, nil); err != nil { // warm: capture + size metric vectors
+			t.Fatal(err)
+		}
 	}
 	// Run adjacent off/on scan pairs and take the MEDIAN of the per-pair
 	// differences: scheduler and frequency noise is bursty at a much
@@ -136,9 +139,9 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 	// reported — one block's residual noise is ~±1%, too wide against a
 	// 2% budget for a CI gate.
 	const pairs = 2000
-	run := func(cfg scan.Config) float64 {
+	run := func(d *scan.Delta) float64 {
 		start := time.Now()
-		if _, err := scan.RunDelta(ctx, pools, nil, src, cfg, st); err != nil {
+		if _, err := d.Scan(ctx, pools, nil, src, nil); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start).Seconds()
@@ -148,11 +151,11 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 	block := func() (off, delta float64) {
 		for i := 0; i < pairs; i++ {
 			if i%2 == 0 {
-				offs[i] = run(cfgOff)
-				deltas[i] = run(cfgOn) - offs[i]
+				offs[i] = run(plain)
+				deltas[i] = run(instrumented) - offs[i]
 			} else {
-				on := run(cfgOn)
-				offs[i] = run(cfgOff)
+				on := run(instrumented)
+				offs[i] = run(plain)
 				deltas[i] = on - offs[i]
 			}
 		}
