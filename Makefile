@@ -57,9 +57,10 @@ bench-server:
 bench-telemetry:
 	BENCH_JSON=1 $(GO) test -run 'TestTelemetry(ScanAllocs|Bench)' -count=1 -v .
 
-# Convex solver smoke: structured O(n) fast path vs the generic dense
-# barrier solver, cold and warm-started. Tiny run counts keep it
-# CI-cheap; its job is to prove the fast path compiles and stays engaged.
+# Convex solver smoke: the structured O(n) fast path, cold and
+# warm-started, vs the dense reference solver (convexopt.Minimize) on the
+# problems the fast path stages. Tiny run counts keep it CI-cheap; its
+# job is to prove the fast path compiles and stays engaged.
 bench-convex:
 	$(GO) test -bench 'BenchmarkConvex(Generic|Structured|Warm)' -benchtime 20x -benchmem -run '^$$' .
 

@@ -95,7 +95,7 @@ type (
 	Result = strategy.Result
 	// TradePlan is the per-hop flow of a result.
 	TradePlan = strategy.TradePlan
-	// ConvexOptions tunes the ConvexOptimization solver.
+	// ConvexOptions selects ConvexStrategy's warm-start policy.
 	ConvexOptions = strategy.ConvexOptions
 )
 
@@ -288,7 +288,7 @@ var (
 	// MaxMax takes the best Traditional start (paper eq. 6).
 	MaxMax = strategy.MaxMax
 	// Convex solves the paper's problem (8) on the structured O(n) fast
-	// path (ConvexOptions.Generic restores the dense reference solver).
+	// path.
 	Convex = strategy.Convex
 	// ConvexWarm is Convex warm-started from a previous result for the
 	// same loop (the previous block's optimum) — the entry point behind

@@ -41,7 +41,7 @@ func TestPaperExampleT1(t *testing.T) {
 	if mm.StartToken != "Z" || math.Abs(mm.Monetized-205.6) > 0.5 {
 		t.Errorf("MaxMax = %s %.2f$, paper Z 205.6$", mm.StartToken, mm.Monetized)
 	}
-	cv, err := arbloop.Convex(loop, prices, arbloop.ConvexOptions{})
+	cv, err := arbloop.Convex(loop, prices)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"arbloop/internal/bot"
 	"arbloop/internal/cex"
 	"arbloop/internal/chain"
+	"arbloop/internal/convexopt"
 	"arbloop/internal/cycles"
 	"arbloop/internal/experiments"
 	"arbloop/internal/market"
@@ -202,7 +203,7 @@ func BenchmarkTableT3ConvexLen10(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := strategy.Convex(loop, prices, strategy.ConvexOptions{}); err != nil {
+		if _, err := strategy.Convex(loop, prices); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -281,7 +282,7 @@ func BenchmarkAblationProblem8(b *testing.B) {
 	loop, prices := ablationLoop(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := strategy.Convex(loop, prices, strategy.ConvexOptions{}); err != nil {
+		if _, err := strategy.Convex(loop, prices); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -290,38 +291,108 @@ func BenchmarkAblationProblem8(b *testing.B) {
 // --- Convex solver paths (`make bench-convex`) ---
 //
 // The BenchmarkConvex* family compares the three ways one problem-(8)
-// solve can run: the generic dense barrier solver (closure constraints,
-// O(n³) Cholesky), the structured fast path (analytic curves, O(n)
-// cyclic Newton, pooled scratch), and the structured path warm-started
-// from a previous optimum — the delta-scan configuration.
+// solve can run: the dense reference barrier solver (convexopt.Minimize:
+// closure constraints, O(n³) Cholesky) on the problem the fast path
+// stages, the structured fast path (strategy.Convex: analytic curves,
+// O(n) cyclic Newton, pooled scratch), and the structured path
+// warm-started from a previous optimum — the delta-scan configuration.
 
-func benchmarkConvexSolve(b *testing.B, length int, opts strategy.ConvexOptions) {
+// convexBenchSolverOptions are the barrier parameters strategy.Convex
+// solves with.
+var convexBenchSolverOptions = convexopt.Options{MaxNewton: 300}
+
+// stageConvex builds the problem strategy.Convex hands its structured
+// solver for loop — per-hop fee multipliers, oriented reserves and
+// prices — and its strictly interior start: the MaxMax plan shrunk until
+// every flow constraint is slack. ok is false when no shrink lands
+// inside (a near-degenerate loop, which Convex answers with the MaxMax
+// plan without solving).
+func stageConvex(tb testing.TB, loop *strategy.Loop, prices strategy.PriceMap) (p *convexopt.LoopProblem, x0 []float64, ok bool) {
+	tb.Helper()
+	n := loop.Len()
+	p = new(convexopt.LoopProblem)
+	p.Reset(n)
+	offset := -1
+	mm, err := strategy.MaxMax(loop, prices)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		h := loop.Hop(i)
+		rin, rout, err := h.Pool.Reserves(loop.Token(i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out, err := h.TokenOut()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.Gamma[i], p.RIn[i], p.ROut[i] = h.Pool.Gamma(), rin, rout
+		p.PIn[i], p.POut[i] = prices[loop.Token(i)], prices[out]
+		if loop.Token(i) == mm.StartToken {
+			offset = i
+		}
+	}
+	if offset < 0 || !(mm.Input > 0) {
+		return p, nil, false
+	}
+	x0 = make([]float64, n)
+	for _, eta := range []float64{0.05, 0.15, 0.4, 0.75} {
+		for i := 0; i < n; i++ {
+			x0[(i+offset)%n] = (1 - eta) * mm.Plan.Inputs[i]
+		}
+		if p.Interior(x0) {
+			return p, x0, true
+		}
+	}
+	return p, nil, false
+}
+
+func benchmarkConvexGeneric(b *testing.B, length int) {
+	loop, prices, err := experiments.SyntheticLoop(length)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, x0, ok := stageConvex(b, loop, prices)
+	if !ok {
+		b.Fatalf("length-%d synthetic loop has no interior start", length)
+	}
+	prob := p.Generic()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := convexopt.Minimize(prob, x0, convexBenchSolverOptions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchmarkConvexStructured(b *testing.B, length int) {
 	loop, prices, err := experiments.SyntheticLoop(length)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := strategy.Convex(loop, prices, opts); err != nil {
+		if _, err := strategy.Convex(loop, prices); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkConvexGenericLen3(b *testing.B) {
-	benchmarkConvexSolve(b, 3, strategy.ConvexOptions{Generic: true})
+	benchmarkConvexGeneric(b, 3)
 }
 
 func BenchmarkConvexStructuredLen3(b *testing.B) {
-	benchmarkConvexSolve(b, 3, strategy.ConvexOptions{})
+	benchmarkConvexStructured(b, 3)
 }
 
 func BenchmarkConvexGenericLen10(b *testing.B) {
-	benchmarkConvexSolve(b, 10, strategy.ConvexOptions{Generic: true})
+	benchmarkConvexGeneric(b, 10)
 }
 
 func BenchmarkConvexStructuredLen10(b *testing.B) {
-	benchmarkConvexSolve(b, 10, strategy.ConvexOptions{})
+	benchmarkConvexStructured(b, 10)
 }
 
 func BenchmarkConvexWarmLen3(b *testing.B) {
@@ -329,13 +400,13 @@ func BenchmarkConvexWarmLen3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev, err := strategy.Convex(loop, prices, strategy.ConvexOptions{})
+	prev, err := strategy.Convex(loop, prices)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := strategy.ConvexWarm(loop, prices, strategy.ConvexOptions{}, &prev); err != nil {
+		if _, err := strategy.ConvexWarm(loop, prices, &prev); err != nil {
 			b.Fatal(err)
 		}
 	}

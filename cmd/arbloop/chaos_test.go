@@ -19,6 +19,7 @@ import (
 
 	"arbloop"
 	"arbloop/internal/chain"
+	"arbloop/internal/distrib"
 	"arbloop/internal/faults"
 	"arbloop/internal/server"
 	"arbloop/internal/source"
@@ -141,7 +142,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatalf("report unreachable mid-soak: %v", err)
 		}
 		if resp.StatusCode == http.StatusOK {
-			var rep server.ReportJSON
+			var rep distrib.ReportJSON
 			if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 				t.Fatalf("report decode: %v", err)
 			}

@@ -33,8 +33,8 @@ import (
 
 	"arbloop"
 	"arbloop/internal/chain"
+	"arbloop/internal/distrib"
 	"arbloop/internal/plot"
-	"arbloop/internal/server"
 	"arbloop/internal/source"
 )
 
@@ -229,7 +229,7 @@ func cmdScan(args []string) error {
 		}
 	}
 	if *jsonOut {
-		return server.Encode(report, 0, 0).WriteIndented(os.Stdout)
+		return distrib.Encode(report, 0, 0).WriteIndented(os.Stdout)
 	}
 	fmt.Printf("graph: %d tokens, %d pools; %d/%d cycles are arbitrage loops of length %d; strategy %s ×%d workers\n",
 		report.Tokens, report.Pools, report.LoopsDetected, report.CyclesExamined, *loopLen,

@@ -11,6 +11,7 @@ import (
 
 	"arbloop"
 	"arbloop/internal/chain"
+	"arbloop/internal/distrib"
 	"arbloop/internal/faults"
 	"arbloop/internal/oplog"
 	"arbloop/internal/server"
@@ -197,7 +198,7 @@ func TestServeOplogRecordsAndPrimes(t *testing.T) {
 	if !lg2.contains("oplog: primed from") {
 		t.Error("restart did not prime from the recovered log")
 	}
-	var rep server.ReportJSON
+	var rep distrib.ReportJSON
 	if err := pollJSON(base2+"/v1/report", &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -272,13 +273,13 @@ func TestServeOplogDiskFaultDegradesHealthz(t *testing.T) {
 
 	// Containment: the scan loop keeps serving — the report version
 	// still advances after the disk died.
-	var before server.ReportJSON
+	var before distrib.ReportJSON
 	if err := pollJSON(base+"/v1/report", &before); err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(15 * time.Second)
 	for {
-		var after server.ReportJSON
+		var after distrib.ReportJSON
 		if err := pollJSON(base+"/v1/report", &after); err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +304,7 @@ func TestReplayServesRecordedHistory(t *testing.T) {
 	}
 	const entries = 5
 	for v := uint64(1); v <= entries; v++ {
-		rep := server.Encode(arbloop.ScanReport{Strategy: "ConvexOptimization", LoopsDetected: int(v)}, v, int64(100+v))
+		rep := distrib.Encode(arbloop.ScanReport{Strategy: "ConvexOptimization", LoopsDetected: int(v)}, v, int64(100+v))
 		if err := l.Append(oplog.Entry{Version: v, Height: int64(100 + v), Report: rep}); err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +339,7 @@ func TestReplayServesRecordedHistory(t *testing.T) {
 
 	// The pass ends holding the final recorded report.
 	deadline := time.Now().Add(10 * time.Second)
-	var rep server.ReportJSON
+	var rep distrib.ReportJSON
 	for {
 		if err := pollJSON(base+"/v1/report", &rep); err == nil && rep.Version == entries {
 			break

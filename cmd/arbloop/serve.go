@@ -258,9 +258,7 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	// GET /v1/metrics: the scan engine's stage histograms and dirtiness
 	// EMAs, the feed's retry counters, and the convex solver's
 	// iteration/warm-start/fallback counts.
-	if m := cfg.scanner.Metrics(); m != nil {
-		m.Register(srv.Telemetry())
-	}
+	cfg.scanner.Metrics().Register(srv.Telemetry())
 	watcher.RegisterMetrics(srv.Telemetry())
 	strategy.Telemetry().Register(srv.Telemetry())
 
@@ -354,7 +352,7 @@ func serve(ctx context.Context, cfg serveConfig) error {
 				cfg.logf("scan v%d failed: %v", vr.Version, vr.Err)
 				continue
 			}
-			rep := server.Encode(vr.Report, vr.Version, vr.Height)
+			rep := distrib.Encode(vr.Report, vr.Version, vr.Height)
 			if err := srv.Publish(rep, vr.Elapsed); err != nil {
 				cfg.logf("publish v%d failed: %v", vr.Version, err)
 				continue

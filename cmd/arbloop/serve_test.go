@@ -14,6 +14,7 @@ import (
 	"arbloop"
 	"arbloop/internal/amm"
 	"arbloop/internal/chain"
+	"arbloop/internal/distrib"
 	"arbloop/internal/server"
 	"arbloop/internal/source"
 )
@@ -84,7 +85,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// The priming scan publishes the first report before any block.
-	var rep server.ReportJSON
+	var rep distrib.ReportJSON
 	if err := pollJSON(base+"/v1/report", &rep); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestServeSmoke(t *testing.T) {
 	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
 		t.Errorf("?top=1 Content-Encoding = %q, want identity", ce)
 	}
-	var top server.ReportJSON
+	var top distrib.ReportJSON
 	if err := pollJSON(base+"/v1/report?top=1", &top); err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func ExampleConvex() {
 		log.Fatal(err)
 	}
 
-	res, err := arbloop.Convex(loop, arbloop.PriceMap{"X": 2, "Y": 10.2, "Z": 20}, arbloop.ConvexOptions{})
+	res, err := arbloop.Convex(loop, arbloop.PriceMap{"X": 2, "Y": 10.2, "Z": 20})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"arbloop"
 	"arbloop/internal/chain"
+	"arbloop/internal/distrib"
 	"arbloop/internal/server"
 	"arbloop/internal/source"
 )
@@ -65,7 +66,7 @@ func run() error {
 			if vr.Err != nil {
 				continue
 			}
-			_ = srv.Publish(server.Encode(vr.Report, vr.Version, vr.Height), vr.Elapsed)
+			_ = srv.Publish(distrib.Encode(vr.Report, vr.Version, vr.Height), vr.Elapsed)
 		}
 	}()
 	ts := httptest.NewServer(srv.Handler())

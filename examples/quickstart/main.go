@@ -68,7 +68,7 @@ func main() {
 
 	// The convex relaxation (paper problem 8) can keep profit in several
 	// tokens at once and is provably ≥ MaxMax.
-	cv, err := arbloop.Convex(loop, prices, arbloop.ConvexOptions{})
+	cv, err := arbloop.Convex(loop, prices)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,8 +11,10 @@
 // suboptimality after the outer loop is bounded by m/t.
 //
 // The paper's ConvexOptimization strategy (problem (8)) is solved through
-// this package; Go lacks a mature convex-optimization library, so the
-// solver is hand-rolled (see DESIGN.md substitutions).
+// this package's structured loop solver (SolveLoop, loop.go); Minimize is
+// the dense reference it is tested and benchmarked against. Go lacks a
+// mature convex-optimization library, so the solver is hand-rolled (see
+// DESIGN.md substitutions).
 package convexopt
 
 import (

@@ -21,8 +21,9 @@
 // allocations. SolveLoop runs the same damped-Newton log-barrier
 // iteration as Minimize — same schedule, same stopping rules, same
 // suboptimality bound m/t with m = 2n — against the analytic curves.
-// Minimize remains the reference implementation; the two agree to
-// solver tolerance (property-tested in loop_test.go).
+// Minimize remains the reference implementation, used only by tests and
+// benchmarks; the two agree to solver tolerance (property-tested in
+// loop_test.go).
 package convexopt
 
 import (

@@ -133,7 +133,7 @@ func RunPipelineOnSnapshot(snap *market.Snapshot, cfg PipelineConfig) (*Pipeline
 		if err != nil {
 			return err
 		}
-		cv, err := strategy.Convex(loop, prices, strategy.ConvexOptions{})
+		cv, err := strategy.Convex(loop, prices)
 		if err != nil {
 			return fmt.Errorf("experiments: convex on %s: %w", loop, err)
 		}

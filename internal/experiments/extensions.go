@@ -58,7 +58,7 @@ func ExtGapSweep(points int) ([]GapRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cv, err := strategy.Convex(loop, prices, strategy.ConvexOptions{})
+		cv, err := strategy.Convex(loop, prices)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func ExtGapRandom(trials int, seed int64) (GapStudy, error) {
 		if err != nil {
 			return GapStudy{}, err
 		}
-		cv, err := strategy.Convex(loop, prices, strategy.ConvexOptions{})
+		cv, err := strategy.Convex(loop, prices)
 		if err != nil {
 			return GapStudy{}, err
 		}

@@ -103,7 +103,7 @@ func PxSweep(step float64) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cv, err := strategy.Convex(loop, prices, strategy.ConvexOptions{})
+		cv, err := strategy.Convex(loop, prices)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sweep Px=%.2f: %w", px, err)
 		}

@@ -59,7 +59,7 @@ func TableT1() (T1Result, error) {
 	out.MaxMaxStart = mm.StartToken
 	out.MaxMaxMonetized = mm.Monetized
 
-	cv, err := strategy.Convex(loop, prices, strategy.ConvexOptions{})
+	cv, err := strategy.Convex(loop, prices)
 	if err != nil {
 		return T1Result{}, err
 	}
@@ -126,6 +126,9 @@ func TableT2(cfg market.GeneratorConfig) (T2Result, error) {
 }
 
 // T3Row is the measured runtime of each strategy at one loop length.
+// Every cell is the fastest of TableT3's repeats, not their mean: one
+// preemption during a microsecond-scale MaxMax call would otherwise
+// dominate the cell.
 type T3Row struct {
 	Length int
 	// MaxMaxClosed uses the closed-form optimum per start.
@@ -140,7 +143,8 @@ type T3Row struct {
 // TableT3 measures strategy runtime across loop lengths (paper §VII: for
 // a loop of length 10 MaxMax needs milliseconds while a generic convex
 // solve needs seconds; our hand-rolled solver is faster in absolute terms
-// but the relative growth must reproduce).
+// but the relative growth must reproduce). Each cell times repeats calls
+// and keeps the fastest.
 func TableT3(lengths []int, repeats int) ([]T3Row, error) {
 	if len(lengths) == 0 {
 		lengths = []int{3, 4, 5, 6, 8, 10, 12}
@@ -156,33 +160,52 @@ func TableT3(lengths []int, repeats int) ([]T3Row, error) {
 		}
 		row := T3Row{Length: n}
 
-		start := time.Now()
-		for r := 0; r < repeats; r++ {
-			if _, err := strategy.MaxMax(loop, prices); err != nil {
-				return nil, err
-			}
+		row.MaxMaxClosed, err = fastestOf(repeats, func() error {
+			_, err := strategy.MaxMax(loop, prices)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		row.MaxMaxClosed = time.Since(start) / time.Duration(repeats)
 
-		start = time.Now()
-		for r := 0; r < repeats; r++ {
+		row.MaxMaxBisect, err = fastestOf(repeats, func() error {
 			for off := 0; off < n; off++ {
 				if _, err := strategy.OptimalInputBisection(loop.Rotate(off)); err != nil {
-					return nil, fmt.Errorf("experiments: bisection len %d: %w", n, err)
+					return fmt.Errorf("experiments: bisection len %d: %w", n, err)
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		row.MaxMaxBisect = time.Since(start) / time.Duration(repeats)
 
-		start = time.Now()
-		for r := 0; r < repeats; r++ {
-			if _, err := strategy.Convex(loop, prices, strategy.ConvexOptions{}); err != nil {
-				return nil, fmt.Errorf("experiments: convex len %d: %w", n, err)
+		row.Convex, err = fastestOf(repeats, func() error {
+			if _, err := strategy.Convex(loop, prices); err != nil {
+				return fmt.Errorf("experiments: convex len %d: %w", n, err)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		row.Convex = time.Since(start) / time.Duration(repeats)
 
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// fastestOf runs f repeats times and returns the shortest run.
+func fastestOf(repeats int, f func() error) (time.Duration, error) {
+	var best time.Duration
+	for r := 0; r < repeats; r++ {
+		start := time.Now()
+		if err := f(); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); r == 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
 }

@@ -13,9 +13,9 @@ func FuzzDecodeRecord(f *testing.F) {
 	// Seed corpus: valid frames, a torn tail, corrupt lengths, a CRC flip.
 	valid := appendRecord(nil, []byte(`{"version":1}`))
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])             // torn tail
-	f.Add([]byte{})                         // empty
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})   // zero length
+	f.Add(valid[:len(valid)-1])                       // torn tail
+	f.Add([]byte{})                                   // empty
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})             // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length
 	flipped := append([]byte(nil), valid...)
 	flipped[frameHeaderSize] ^= 0xFF

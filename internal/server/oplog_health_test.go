@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"arbloop/internal/distrib"
 	"arbloop/internal/oplog"
 )
 
@@ -17,7 +18,7 @@ func TestHealthzOplogSection(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if err := srv.Publish(ReportJSON{Version: 1}, time.Millisecond); err != nil {
+	if err := srv.Publish(distrib.ReportJSON{Version: 1}, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 

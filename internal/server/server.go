@@ -47,11 +47,6 @@ import (
 	"arbloop/internal/telemetry"
 )
 
-// Store holds the latest report committed to every wire representation
-// at once (see distrib.Frame). Writes (one per block) encode once; reads
-// are a single atomic load, safe for unbounded concurrency.
-type Store = distrib.Store
-
 // DefaultWriteTimeout bounds one SSE event write: a client that cannot
 // drain an event within it is evicted (the block cadence is seconds, so
 // a healthy client is never close).
@@ -176,7 +171,7 @@ type DeltaHealth struct {
 // feed.Watcher.RegisterMetrics, strategy.Telemetry().Register), and
 // GET /v1/metrics renders the whole registry in Prometheus text format.
 type Server struct {
-	store Store
+	store distrib.Store
 	start time.Time
 
 	mu     sync.Mutex
@@ -381,14 +376,14 @@ func (s *Server) Telemetry() *telemetry.Registry {
 }
 
 // Store exposes the underlying report store (benchmarks and embedders).
-func (s *Server) Store() *Store {
+func (s *Server) Store() *distrib.Store {
 	return &s.store
 }
 
 // Publish commits the report to one immutable frame — the block's single
 // encode — swaps it in, and fans it out to SSE subscribers. elapsed is
 // the scan latency reported by /v1/healthz.
-func (s *Server) Publish(r ReportJSON, elapsed time.Duration) error {
+func (s *Server) Publish(r distrib.ReportJSON, elapsed time.Duration) error {
 	buildStart := time.Now()
 	f, err := distrib.BuildFrame(r)
 	if err != nil {

@@ -23,8 +23,8 @@ import (
 	"arbloop/internal/scan"
 )
 
-func sampleReport(version uint64, height int64) ReportJSON {
-	return Encode(scan.Report{
+func sampleReport(version uint64, height int64) distrib.ReportJSON {
+	return distrib.Encode(scan.Report{
 		Strategy:         "MaxMax",
 		Parallelism:      2,
 		Tokens:           3,
@@ -36,7 +36,7 @@ func sampleReport(version uint64, height int64) ReportJSON {
 }
 
 func TestStoreAtomicSwap(t *testing.T) {
-	var st Store
+	var st distrib.Store
 	if _, _, ok := st.Latest(); ok {
 		t.Error("empty store reported a report")
 	}
@@ -47,7 +47,7 @@ func TestStoreAtomicSwap(t *testing.T) {
 	if !ok || rep.Version != 1 {
 		t.Fatalf("Latest = %v v%d", ok, rep.Version)
 	}
-	var decoded ReportJSON
+	var decoded distrib.ReportJSON
 	if err := json.Unmarshal(body, &decoded); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestReportEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content-type = %q", ct)
 	}
-	var rep ReportJSON
+	var rep distrib.ReportJSON
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestHealthzEndpoint(t *testing.T) {
 
 // readEvents consumes SSE `data:` payloads from the stream until n events
 // arrive or the context expires.
-func readEvents(ctx context.Context, t *testing.T, url string, n int, ready chan<- struct{}) []ReportJSON {
+func readEvents(ctx context.Context, t *testing.T, url string, n int, ready chan<- struct{}) []distrib.ReportJSON {
 	t.Helper()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/stream", nil)
 	if err != nil {
@@ -181,7 +181,7 @@ func readEvents(ctx context.Context, t *testing.T, url string, n int, ready chan
 	if ready != nil {
 		close(ready)
 	}
-	var out []ReportJSON
+	var out []distrib.ReportJSON
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() && len(out) < n {
@@ -189,7 +189,7 @@ func readEvents(ctx context.Context, t *testing.T, url string, n int, ready chan
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var rep ReportJSON
+		var rep distrib.ReportJSON
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &rep); err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestStreamDeliversPublishedReports(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	ready := make(chan struct{})
-	done := make(chan []ReportJSON, 1)
+	done := make(chan []distrib.ReportJSON, 1)
 	go func() { done <- readEvents(ctx, t, ts.URL, 3, ready) }()
 
 	<-ready
@@ -357,10 +357,10 @@ func TestCloseEndsActiveStreams(t *testing.T) {
 
 // bigReport builds a report whose encoding is large enough that a
 // re-encode or re-compress per request would dominate any alloc budget.
-func bigReport(version uint64, height int64, results int) ReportJSON {
+func bigReport(version uint64, height int64, results int) distrib.ReportJSON {
 	r := sampleReport(version, height)
 	for i := 0; i < results; i++ {
-		r.Results = append(r.Results, ResultJSON{
+		r.Results = append(r.Results, distrib.ResultJSON{
 			Index:     i,
 			Loop:      strings.Repeat("ABC→", 64) + "A",
 			Strategy:  "MaxMax",
@@ -507,8 +507,8 @@ func TestReportTopParam(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var full ReportJSON
-	get := func(q string, into *ReportJSON) *http.Response {
+	var full distrib.ReportJSON
+	get := func(q string, into *distrib.ReportJSON) *http.Response {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/report" + q)
 		if err != nil {
@@ -531,7 +531,7 @@ func TestReportTopParam(t *testing.T) {
 
 	// ?top=N is a decode-equivalent prefix of the full report.
 	for _, n := range []int{1, 3, 5} {
-		var got ReportJSON
+		var got distrib.ReportJSON
 		resp := get(fmt.Sprintf("?top=%d", n), &got)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("?top=%d status %d", n, resp.StatusCode)
@@ -545,7 +545,7 @@ func TestReportTopParam(t *testing.T) {
 
 	// Clamping: 0 and past-the-end serve the full report.
 	for _, q := range []string{"?top=0", "?top=6", "?top=999"} {
-		var got ReportJSON
+		var got distrib.ReportJSON
 		if get(q, &got); len(got.Results) != 6 {
 			t.Errorf("%s returned %d results, want all 6", q, len(got.Results))
 		}
@@ -675,7 +675,7 @@ func TestStreamEventIDsAndResume(t *testing.T) {
 				id = strings.TrimPrefix(line, "id: ")
 			}
 			if strings.HasPrefix(line, "data: ") {
-				var rep ReportJSON
+				var rep distrib.ReportJSON
 				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &rep); err != nil {
 					t.Fatal(err)
 				}

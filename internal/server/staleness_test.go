@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"arbloop/internal/distrib"
 	"arbloop/internal/scan"
 	"arbloop/internal/source"
 )
@@ -46,7 +47,7 @@ func TestHealthzStatusLifecycle(t *testing.T) {
 		t.Fatalf("fresh health = %+v, want ok", h)
 	}
 
-	degraded := Encode(scan.Report{Strategy: "MaxMax", Degraded: true}, 2, 6)
+	degraded := distrib.Encode(scan.Report{Strategy: "MaxMax", Degraded: true}, 2, 6)
 	if err := srv.Publish(degraded, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestReportAgeHeaderAndDegradedField(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	degraded := Encode(scan.Report{Strategy: "MaxMax", Degraded: true}, 3, 9)
+	degraded := distrib.Encode(scan.Report{Strategy: "MaxMax", Degraded: true}, 3, 9)
 	if err := srv.Publish(degraded, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestReportAgeHeaderAndDegradedField(t *testing.T) {
 	if age := resp.Header.Get("Age"); age != "0" {
 		t.Fatalf("Age header = %q, want \"0\" right after publish", age)
 	}
-	var rep ReportJSON
+	var rep distrib.ReportJSON
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}

@@ -48,26 +48,26 @@ func randomProfitableLoop(t testing.TB, rng *rand.Rand, n int) (*Loop, PriceMap)
 }
 
 // TestConvexStructuredMatchesGeneric is the strategy-level equivalence
-// property (ISSUE 5 satellite): the structured fast path and the generic
-// dense barrier solver agree on plan vectors and monetized profit within
-// 1e-6 (relative) over random profitable loops of length 2–6 × random
-// fees/reserves/prices.
+// property: the structured fast path (Convex) and the dense reference
+// solve (convexReference) agree on plan vectors and monetized profit
+// within 1e-6 (relative) over random profitable loops of length 2–6 ×
+// random fees/reserves/prices.
 func TestConvexStructuredMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for n := 2; n <= 6; n++ {
 		for trial := 0; trial < 10; trial++ {
 			l, prices := randomProfitableLoop(t, rng, n)
-			fast, err := Convex(l, prices, ConvexOptions{})
+			fast, err := Convex(l, prices)
 			if err != nil {
 				t.Fatalf("n=%d trial %d: structured: %v", n, trial, err)
 			}
-			gen, err := Convex(l, prices, ConvexOptions{Generic: true})
+			gen, err := convexReference(l, prices)
 			if err != nil {
-				t.Fatalf("n=%d trial %d: generic: %v", n, trial, err)
+				t.Fatalf("n=%d trial %d: reference: %v", n, trial, err)
 			}
 			scale := 1 + math.Abs(gen.Monetized)
 			if d := math.Abs(fast.Monetized - gen.Monetized); d > 1e-6*scale {
-				t.Errorf("n=%d trial %d: monetized structured %.12g vs generic %.12g",
+				t.Errorf("n=%d trial %d: monetized structured %.12g vs reference %.12g",
 					n, trial, fast.Monetized, gen.Monetized)
 			}
 			// Plan comparison needs rotation-aware alignment: either side
@@ -77,7 +77,7 @@ func TestConvexStructuredMatchesGeneric(t *testing.T) {
 				fa := planInputFor(fast, l.Token(i))
 				ga := planInputFor(gen, l.Token(i))
 				if d := math.Abs(fa - ga); d > 1e-6*(1+math.Abs(ga)) {
-					t.Errorf("n=%d trial %d: input[%s] structured %.12g vs generic %.12g",
+					t.Errorf("n=%d trial %d: input[%s] structured %.12g vs reference %.12g",
 						n, trial, l.Token(i), fa, ga)
 				}
 			}
@@ -105,18 +105,20 @@ func planInputFor(r Result, tok string) float64 {
 	return math.NaN()
 }
 
-// nearDegenerateLoop builds a profitable loop whose price product is so
-// close to 1 that no strictly interior point exists in float64 — the
-// regression case for the warm-start failure that used to error out of
-// Convex (and, through Strategy.Optimize, fail whole-scan loops).
+// nearDegenerateLoop builds a profitable loop whose price product is
+// 1 + 2⁻⁵², the next float64 above 1. With unit reserves the MaxMax plan
+// is so small that no uniform shrink of it is strictly interior in
+// float64 — the regression case for the warm-start failure that used to
+// error out of Convex (and, through Strategy.Optimize, fail whole-scan
+// loops).
 func nearDegenerateLoop(t testing.TB) (*Loop, PriceMap) {
 	t.Helper()
 	g := 1 - 0.003
-	// prod = γ²·(r1out/r1in)·(r2out/r2in) = 1 + 1e-15.
-	r2out := 1e6 * (1 + 1e-15) / (g * g)
+	// prod = γ²·(r1out/r1in)·(r2out/r2in) = 1 + 2⁻⁵².
+	r2out := (1 + 0x1p-52) / (g * g)
 	l, err := NewLoop([]Hop{
-		{Pool: amm.MustNewPool("d1", "A", "B", 1e6, 1e6, 0.003), TokenIn: "A"},
-		{Pool: amm.MustNewPool("d2", "B", "A", 1e6, r2out, 0.003), TokenIn: "B"},
+		{Pool: amm.MustNewPool("d1", "A", "B", 1, 1, 0.003), TokenIn: "A"},
+		{Pool: amm.MustNewPool("d2", "B", "A", 1, r2out, 0.003), TokenIn: "B"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +126,10 @@ func nearDegenerateLoop(t testing.TB) (*Loop, PriceMap) {
 	return l, PriceMap{"A": 2, "B": 3}
 }
 
-// TestConvexDegenerateFallsBackToMaxMax is the satellite regression: a
+// TestConvexDegenerateFallsBackToMaxMax is the no-interior regression: a
 // profitable but near-degenerate loop must yield the MaxMax plan, not an
-// error, on both solver paths.
+// error, on both the structured path and the dense reference — and the
+// structured path must fall back before taking a Newton step.
 func TestConvexDegenerateFallsBackToMaxMax(t *testing.T) {
 	l, prices := nearDegenerateLoop(t)
 	profitable, err := l.Profitable()
@@ -139,25 +142,40 @@ func TestConvexDegenerateFallsBackToMaxMax(t *testing.T) {
 	// The interior truly is unreachable: this is what made the old code
 	// error with "failed to find interior point".
 	if x0, err := warmStart(l, prices); err == nil {
-		t.Skipf("fixture has an interior point %v; regression premise gone", x0)
+		t.Fatalf("fixture has an interior point %v; regression premise gone", x0)
 	}
 	mm, err := MaxMax(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []ConvexOptions{{}, {Generic: true}} {
-		res, err := Convex(l, prices, opts)
-		if err != nil {
-			t.Fatalf("Convex(%+v) on near-degenerate loop: %v", opts, err)
+	tel := Telemetry()
+	fallbacks, newton := tel.Fallbacks.Load(), tel.NewtonIters.Load()
+	fast, err := Convex(l, prices)
+	if err != nil {
+		t.Fatalf("Convex on near-degenerate loop: %v", err)
+	}
+	if got := tel.Fallbacks.Load() - fallbacks; got != 1 {
+		t.Errorf("structured solve advanced Fallbacks by %d, want 1", got)
+	}
+	if got := tel.NewtonIters.Load() - newton; got != 0 {
+		t.Errorf("structured solve took %d Newton steps, want 0 (no interior start)", got)
+	}
+	ref, err := convexReference(l, prices)
+	if err != nil {
+		t.Fatalf("convexReference on near-degenerate loop: %v", err)
+	}
+	for _, c := range []struct {
+		path string
+		res  Result
+	}{{"structured", fast}, {"reference", ref}} {
+		if c.res.Strategy != NameConvex {
+			t.Errorf("%s fallback result strategy = %q", c.path, c.res.Strategy)
 		}
-		if res.Strategy != NameConvex {
-			t.Errorf("fallback result strategy = %q", res.Strategy)
+		if d := math.Abs(c.res.Monetized - mm.Monetized); d > 1e-12*(1+math.Abs(mm.Monetized)) {
+			t.Errorf("%s fallback monetized %g, MaxMax %g", c.path, c.res.Monetized, mm.Monetized)
 		}
-		if d := math.Abs(res.Monetized - mm.Monetized); d > 1e-12*(1+math.Abs(mm.Monetized)) {
-			t.Errorf("fallback monetized %g, MaxMax %g", res.Monetized, mm.Monetized)
-		}
-		if res.Monetized < 0 {
-			t.Errorf("fallback monetized negative: %g", res.Monetized)
+		if c.res.Monetized < 0 {
+			t.Errorf("%s fallback monetized negative: %g", c.path, c.res.Monetized)
 		}
 	}
 }
@@ -169,7 +187,7 @@ func TestConvexWarmMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for n := 2; n <= 5; n++ {
 		l, prices := randomProfitableLoop(t, rng, n)
-		cold, err := Convex(l, prices, ConvexOptions{})
+		cold, err := Convex(l, prices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +206,11 @@ func TestConvexWarmMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold2, err := Convex(moved, prices, ConvexOptions{})
+		cold2, err := Convex(moved, prices)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm2, err := ConvexWarm(moved, prices, ConvexOptions{}, &cold)
+		warm2, err := ConvexWarm(moved, prices, &cold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +219,7 @@ func TestConvexWarmMatchesCold(t *testing.T) {
 			t.Errorf("n=%d: warm %.12g vs cold %.12g", n, warm2.Monetized, cold2.Monetized)
 		}
 		// ColdStart pins bit-reproducibility against the cold solve.
-		pinned, err := ConvexWarm(moved, prices, ConvexOptions{ColdStart: true}, &cold)
+		pinned, err := ConvexStrategy{Options: ConvexOptions{ColdStart: true}}.OptimizeWarm(context.Background(), moved, prices, &cold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +227,7 @@ func TestConvexWarmMatchesCold(t *testing.T) {
 			t.Errorf("n=%d: ColdStart result differs from cold solve", n)
 		}
 		// A nil previous result is a plain cold solve.
-		nilPrev, err := ConvexWarm(moved, prices, ConvexOptions{}, nil)
+		nilPrev, err := ConvexWarm(moved, prices, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,15 +243,15 @@ func TestConvexWarmMisalignedPrev(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l, prices := randomProfitableLoop(t, rng, 3)
 	other, otherPrices := randomProfitableLoop(t, rng, 4)
-	prevOther, err := Convex(other, otherPrices, ConvexOptions{})
+	prevOther, err := Convex(other, otherPrices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Convex(l, prices, ConvexOptions{})
+	cold, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ConvexWarm(l, prices, ConvexOptions{}, &prevOther)
+	warm, err := ConvexWarm(l, prices, &prevOther)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +261,7 @@ func TestConvexWarmMisalignedPrev(t *testing.T) {
 	// A zero-plan previous result (loop was unprofitable last block) is
 	// unusable as an interior start and must fall back cleanly.
 	zero := Result{Loop: l, Plan: TradePlan{Inputs: make([]float64, 3), Outputs: make([]float64, 3)}}
-	warmZero, err := ConvexWarm(l, prices, ConvexOptions{}, &zero)
+	warmZero, err := ConvexWarm(l, prices, &zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,16 +295,16 @@ func TestConvexStrategyImplementsWarmStarter(t *testing.T) {
 // TestConvexStructuredAllocBudget pins the fast path's per-solve
 // allocation budget: the solver itself is allocation-free after warm-up,
 // so a solve pays only for the result it returns (plan slices + net
-// map). The generic path churns hundreds of allocations per solve; the
+// map). The dense reference churns hundreds of allocations per solve; the
 // pin is what keeps the fast path from regressing toward it.
 func TestConvexStructuredAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l, prices := randomProfitableLoop(t, rng, 4)
-	if _, err := Convex(l, prices, ConvexOptions{}); err != nil { // warm the pool
+	if _, err := Convex(l, prices); err != nil { // warm the pool
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := Convex(l, prices, ConvexOptions{}); err != nil {
+		if _, err := Convex(l, prices); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -298,12 +316,12 @@ func TestConvexStructuredAllocBudget(t *testing.T) {
 		t.Errorf("structured Convex allocates %.1f/solve, budget %d", allocs, budget)
 	}
 	// Warm-started solves stay inside the same budget.
-	prev, err := Convex(l, prices, ConvexOptions{})
+	prev, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := ConvexWarm(l, prices, ConvexOptions{}, &prev); err != nil {
+		if _, err := ConvexWarm(l, prices, &prev); err != nil {
 			t.Fatal(err)
 		}
 	})

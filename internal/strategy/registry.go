@@ -88,12 +88,11 @@ type WarmStarter interface {
 }
 
 // ConvexStrategy solves the paper's problem (8) with the log-barrier
-// interior-point method; provably ≥ MaxMax. Solves run on the
-// structured O(n) fast path (see Convex); Options.Generic restores the
-// reference dense solver. It also implements WarmStarter, so delta scans
+// interior-point method on the structured O(n) fast path (see Convex);
+// provably ≥ MaxMax. It also implements WarmStarter, so delta scans
 // re-optimize dirty loops from the previous block's optimum.
 type ConvexStrategy struct {
-	// Options tunes the solver; the zero value uses the defaults.
+	// Options selects the warm-start policy; the zero value warm-starts.
 	Options ConvexOptions
 }
 
@@ -105,7 +104,7 @@ func (s ConvexStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) 
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return Convex(l, prices, s.Options)
+	return Convex(l, prices)
 }
 
 // OptimizeWarm implements WarmStarter: the barrier solve starts from the
@@ -116,7 +115,10 @@ func (s ConvexStrategy) OptimizeWarm(ctx context.Context, l *Loop, prices PriceM
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return ConvexWarm(l, prices, s.Options, prev)
+	if s.Options.ColdStart {
+		return Convex(l, prices)
+	}
+	return ConvexWarm(l, prices, prev)
 }
 
 // ConvexRiskyStrategy solves the shorting-allowed relaxation the paper

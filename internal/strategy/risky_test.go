@@ -13,7 +13,7 @@ import (
 func TestConvexRiskyDominatesSafeConvex(t *testing.T) {
 	l := paperLoop(t)
 	prices := paperPrices()
-	safe, err := Convex(l, prices, ConvexOptions{})
+	safe, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestConvexRiskyDominanceProperty(t *testing.T) {
 			"Y": rng.Float64()*20 + 0.5,
 			"Z": rng.Float64()*20 + 0.5,
 		}
-		safe, err := Convex(l, prices, ConvexOptions{})
+		safe, err := Convex(l, prices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestConvexRiskyMayShortTokens(t *testing.T) {
 	if !short {
 		t.Log("no short position on this configuration; checking dominance only")
 	}
-	safe, err := Convex(l, prices, ConvexOptions{})
+	safe, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}

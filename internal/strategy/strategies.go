@@ -204,7 +204,7 @@ func VerifyNoArbEquivalence(l *Loop, prices PriceMap, tol float64) error {
 	if err != nil {
 		return err
 	}
-	cv, err := Convex(l, prices, ConvexOptions{})
+	cv, err := Convex(l, prices)
 	if err != nil {
 		return err
 	}

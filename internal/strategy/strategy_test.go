@@ -281,7 +281,7 @@ func TestStrategiesRejectBadPrices(t *testing.T) {
 	if _, err := MaxMax(l, bad); err == nil {
 		t.Error("MaxMax missing price: want error")
 	}
-	if _, err := Convex(l, bad, ConvexOptions{}); err == nil {
+	if _, err := Convex(l, bad); err == nil {
 		t.Error("Convex missing price: want error")
 	}
 	if _, err := Traditional(l, "W", paperPrices()); err == nil {
@@ -294,7 +294,7 @@ func TestStrategiesRejectBadPrices(t *testing.T) {
 // 31.3 X), net profit ≈ 5 Y + 7.7 Z.
 func TestPaperExampleT1Convex(t *testing.T) {
 	l := paperLoop(t)
-	r, err := Convex(l, paperPrices(), ConvexOptions{})
+	r, err := Convex(l, paperPrices())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestConvexDominatesMaxMaxOnPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := Convex(l, paperPrices(), ConvexOptions{})
+	cv, err := Convex(l, paperPrices())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestNoArbLoopAllStrategiesZero(t *testing.T) {
 			t.Errorf("Traditional(%s) = %.3g$ input %.3g, want 0", tok, r.Monetized, r.Input)
 		}
 	}
-	cv, err := Convex(l, prices, ConvexOptions{})
+	cv, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestConvexDominanceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv, err := Convex(l, prices, ConvexOptions{})
+		cv, err := Convex(l, prices)
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, l, err)
 		}
@@ -446,7 +446,7 @@ func TestConvexPlanFeasibilityProperty(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		l := randomLoop(t, rng)
 		prices := PriceMap{"X": 3, "Y": 5, "Z": 7}
-		cv, err := Convex(l, prices, ConvexOptions{})
+		cv, err := Convex(l, prices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -623,7 +623,7 @@ func TestConvexOnLongerLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := Convex(l, prices, ConvexOptions{})
+	cv, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +665,7 @@ func TestTwoPoolLoopStrategies(t *testing.T) {
 	if mm.Monetized <= 0 {
 		t.Errorf("MaxMax on 2-loop = %g", mm.Monetized)
 	}
-	cv, err := Convex(l, prices, ConvexOptions{})
+	cv, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +708,7 @@ func TestConvexOnLongLoops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv, err := Convex(l, prices, ConvexOptions{})
+		cv, err := Convex(l, prices)
 		if err != nil {
 			t.Fatalf("length %d: %v", n, err)
 		}

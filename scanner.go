@@ -139,25 +139,6 @@ func WithDeltaScans(enabled bool) ScannerOption {
 	return func(c *scan.Config) { c.DisableDelta = !enabled }
 }
 
-// WithTelemetry toggles the scanner's metrics (default on): per-stage
-// latency histograms, scan/loop counters, per-pool dirtiness-rate EMAs,
-// and per-shard wake-up counts, exposed through Scanner.Metrics. The
-// instrumentation adds zero allocations to the steady-state delta path
-// and well under a percent of scan time; the off switch exists for
-// bit-for-bit comparison against uninstrumented runs, not because the
-// cost needs managing.
-func WithTelemetry(enabled bool) ScannerOption {
-	return func(c *scan.Config) {
-		if !enabled {
-			c.Metrics = nil
-			return
-		}
-		if c.Metrics == nil {
-			c.Metrics = scan.NewMetrics()
-		}
-	}
-}
-
 // ScanMetrics is the scanner's telemetry: per-stage latency histograms,
 // scan and loop counters, per-pool dirtiness-rate EMAs, and per-shard
 // wake-up counts. Obtain with Scanner.Metrics; expose on a
@@ -201,7 +182,7 @@ func (s *Scanner) DeltaStats() DeltaStats {
 	return s.delta.Stats()
 }
 
-// Metrics returns the scanner's telemetry (nil with WithTelemetry(false)).
+// Metrics returns the scanner's telemetry.
 func (s *Scanner) Metrics() *ScanMetrics {
 	return s.cfg.Metrics
 }
@@ -225,12 +206,10 @@ func (s *Scanner) PrimeWarmStarts(hints []WarmHint) {
 // PrimeDirtiness seeds the per-pool dirtiness-rate EMAs with estimates
 // recovered from a previous run (pool ID → rate in [0, 1]), so a
 // restarted serving process resumes with yesterday's activity profile
-// instead of re-learning it over the EMA time constant. No-op without
-// telemetry. Call before the first scan.
+// instead of re-learning it over the EMA time constant. Call before the
+// first scan.
 func (s *Scanner) PrimeDirtiness(priors map[string]float64) {
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.PrimeDirtiness(priors)
-	}
+	s.cfg.Metrics.PrimeDirtiness(priors)
 }
 
 // NewScanner builds a scanner over a pool source and a price source.
@@ -239,9 +218,8 @@ func NewScanner(pools PoolSource, prices PriceSource, opts ...ScannerOption) (*S
 	if pools == nil || prices == nil {
 		return nil, fmt.Errorf("arbloop: scanner needs a pool source and a price source")
 	}
-	// The default topology cache and telemetry are installed before the
-	// options run so WithTopologyCache / WithTelemetry can resize or
-	// disable them.
+	// The default topology cache is installed before the options run so
+	// WithTopologyCache can resize or disable it.
 	cfg := scan.Config{Cache: scan.NewCache(0), Metrics: scan.NewMetrics()}
 	for _, opt := range opts {
 		opt(&cfg)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +21,8 @@ import (
 	"time"
 
 	"arbloop"
+	"arbloop/internal/convexopt"
+	"arbloop/internal/distrib"
 	"arbloop/internal/server"
 )
 
@@ -562,9 +565,10 @@ func benchShardedDelta(t *testing.T) []shardedBenchRow {
 // convexSolverBenchRow records per-loop ConvexOptimization solve
 // throughput for one solver configuration on the §VI market's detected
 // loops (single goroutine — the per-core number parallelism multiplies):
-// the generic dense barrier solver (the pre-PR-5 baseline), the
-// structured O(n) fast path, and the structured path warm-started from
-// each loop's own previous optimum (the steady-state delta-scan case).
+// the dense reference barrier solver (convexopt.Minimize on the problem
+// and start the fast path stages), the structured O(n) fast path
+// (strategy.Convex), and the structured path warm-started from each
+// loop's own previous optimum (the steady-state delta-scan case).
 type convexSolverBenchRow struct {
 	LoopLen          int     `json:"loop_len"`
 	Solver           string  `json:"solver"`
@@ -610,14 +614,14 @@ func benchConvexSolver(t *testing.T) []convexSolverBenchRow {
 		}
 		prices := arbloop.PriceMap(fetched)
 
-		solve := func(opts arbloop.ConvexOptions, prev []arbloop.Result) float64 {
+		solve := func(prev []arbloop.Result) float64 {
 			// One warm-up pass pays cold caches, then time runs passes.
 			for li, l := range loops {
 				var err error
 				if prev != nil {
-					_, err = arbloop.ConvexWarm(l, prices, opts, &prev[li])
+					_, err = arbloop.ConvexWarm(l, prices, &prev[li])
 				} else {
-					_, err = arbloop.Convex(l, prices, opts)
+					_, err = arbloop.Convex(l, prices)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -628,9 +632,9 @@ func benchConvexSolver(t *testing.T) []convexSolverBenchRow {
 				for li, l := range loops {
 					var err error
 					if prev != nil {
-						_, err = arbloop.ConvexWarm(l, prices, opts, &prev[li])
+						_, err = arbloop.ConvexWarm(l, prices, &prev[li])
 					} else {
-						_, err = arbloop.Convex(l, prices, opts)
+						_, err = arbloop.Convex(l, prices)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -640,19 +644,19 @@ func benchConvexSolver(t *testing.T) []convexSolverBenchRow {
 			return float64(len(loops)) * float64(cfg.runs) / time.Since(start).Seconds()
 		}
 
-		generic := solve(arbloop.ConvexOptions{Generic: true}, nil)
-		structured := solve(arbloop.ConvexOptions{}, nil)
+		structured := solve(nil)
 		// Warm starts replay each loop's own optimum — the reserves-barely-
 		// moved steady state a delta scan re-optimizes under.
 		prev := make([]arbloop.Result, len(loops))
 		for li, l := range loops {
-			r, err := arbloop.Convex(l, prices, arbloop.ConvexOptions{})
+			r, err := arbloop.Convex(l, prices)
 			if err != nil {
 				t.Fatal(err)
 			}
 			prev[li] = r
 		}
-		warm := solve(arbloop.ConvexOptions{}, prev)
+		warm := solve(prev)
+		generic, ratio := benchConvexSolvers(t, loops, prices, cfg.runs)
 
 		for _, row := range []convexSolverBenchRow{
 			{LoopLen: cfg.loopLen, Solver: "generic", Loops: len(loops), Runs: cfg.runs, LoopsPerSec: generic, SpeedupVsGeneric: 1},
@@ -663,19 +667,78 @@ func benchConvexSolver(t *testing.T) []convexSolverBenchRow {
 				row.LoopLen, row.Solver, row.LoopsPerSec, row.SpeedupVsGeneric)
 			out = append(out, row)
 		}
-		// Engagement guard: the structured path must stay well clear of
-		// the generic solver measured in the same run. The bar is 3.5×
-		// (with noise margin), not the PR-5 acceptance's 5×, because the
-		// acceptance compares against the PR-4 *recording* (9.7k loops/s
-		// on this container) while the in-run generic baseline itself
-		// gained ~35% from the shared solver improvements (scale-aware
-		// T0, norm phase, early outer stop) — structured lands ~5.5-6×
-		// the recorded baseline.
-		if cfg.loopLen == 3 && structured < 3.5*generic {
-			t.Errorf("len-3 structured solver %.0f loops/s < 3.5x generic %.0f", structured, generic)
+		t.Logf("convex solver len %d SolveLoop vs Minimize: %.2fx (median of interleaved passes)", cfg.loopLen, ratio)
+		// Engagement guard: on identical staged problems and starts the
+		// structured solver must stay well clear of the dense reference;
+		// a fast path that stopped engaging would close the gap. The 3.5×
+		// bar leaves margin for host noise below the 3.7–4.8× (median
+		// 3.8×) measured at length 3 over ten runs on a 2-CPU Xeon host.
+		if cfg.loopLen == 3 && ratio < 3.5 {
+			t.Errorf("len-3 SolveLoop only %.2fx Minimize (median of interleaved passes), want ≥ 3.5x", ratio)
 		}
 	}
 	return out
+}
+
+// convexSolverPasses is how many interleaved SolveLoop/Minimize pass
+// pairs benchConvexSolvers times; the median damps single-pass noise.
+const convexSolverPasses = 9
+
+// benchConvexSolvers times the two barrier solvers like for like: each
+// loop's problem and interior start are staged once (stageConvex), then
+// convexopt.SolveLoop and convexopt.Minimize solve them in interleaved
+// passes of runs repetitions each, so host noise hits both alike. It
+// returns Minimize's median throughput (loops/s) and the median per-pass
+// SolveLoop/Minimize speed ratio. Loops without an interior start are
+// skipped: the strategy never solves them.
+func benchConvexSolvers(t *testing.T, loops []*arbloop.Loop, prices arbloop.PriceMap, runs int) (denseLoopsPerSec, ratio float64) {
+	t.Helper()
+	type staged struct {
+		p     *convexopt.LoopProblem
+		dense convexopt.Problem
+		x0    []float64
+	}
+	var probs []staged
+	for _, l := range loops {
+		if p, x0, ok := stageConvex(t, l, prices); ok {
+			probs = append(probs, staged{p: p, dense: p.Generic(), x0: x0})
+		}
+	}
+	if len(probs) == 0 {
+		t.Fatal("no loop has an interior start")
+	}
+	if skipped := len(loops) - len(probs); skipped > 0 {
+		t.Logf("%d of %d loops have no interior start; the solver rows skip them", skipped, len(loops))
+	}
+	var ws convexopt.LoopWorkspace
+	// pass solves every staged problem runs times and returns the
+	// elapsed time; solver errors are fallbacks in the strategy, so they
+	// count as solves here too.
+	pass := func(dense bool) time.Duration {
+		start := time.Now()
+		for r := 0; r < runs; r++ {
+			for _, s := range probs {
+				if dense {
+					_, _ = convexopt.Minimize(s.dense, s.x0, convexBenchSolverOptions)
+				} else {
+					_, _ = convexopt.SolveLoop(s.p, s.x0, convexBenchSolverOptions, &ws)
+				}
+			}
+		}
+		return time.Since(start)
+	}
+	pass(false) // warm-up: workspace growth and cold caches
+	pass(true)
+	rates := make([]float64, convexSolverPasses)
+	ratios := make([]float64, convexSolverPasses)
+	for i := range ratios {
+		fast, dense := pass(false), pass(true)
+		rates[i] = float64(len(probs)*runs) / dense.Seconds()
+		ratios[i] = dense.Seconds() / fast.Seconds()
+	}
+	sort.Float64s(rates)
+	sort.Float64s(ratios)
+	return rates[len(rates)/2], ratios[len(ratios)/2]
 }
 
 // allocsBenchRow records allocations per steady-state per-block scan:
@@ -864,7 +927,7 @@ func benchServerThroughput(t *testing.T) serverBenchSection {
 		t.Fatal(err)
 	}
 	srv := server.New()
-	if err := srv.Publish(server.Encode(rep, 1, 1), time.Millisecond); err != nil {
+	if err := srv.Publish(distrib.Encode(rep, 1, 1), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -884,7 +947,7 @@ func benchServerThroughput(t *testing.T) serverBenchSection {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			_ = srv.Publish(server.Encode(rep, 1, 1), time.Millisecond)
+			_ = srv.Publish(distrib.Encode(rep, 1, 1), time.Millisecond)
 		}
 	}()
 	defer close(stop)

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"arbloop"
-	"arbloop/internal/server"
+	"arbloop/internal/distrib"
 )
 
 // mutableMarket is a PoolSource whose reserves tests move between
@@ -70,12 +70,12 @@ func (m *mutableMarket) trade(t testing.TB, rng *rand.Rand, n int) {
 
 // normalize blanks the delta-path bookkeeping so delta and full reports
 // can be compared field-for-field through the wire encoding.
-func normalize(rep arbloop.ScanReport) server.ReportJSON {
+func normalize(rep arbloop.ScanReport) distrib.ReportJSON {
 	rep.TopologyCacheHit = false
 	rep.LoopsReoptimized = 0
 	rep.LoopsReused = 0
 	rep.ShardsScanned = 0
-	return server.Encode(rep, 0, 0)
+	return distrib.Encode(rep, 0, 0)
 }
 
 // TestScanDeltaMatchesFullScanOverFeed drives the full public stack —
