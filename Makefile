@@ -57,10 +57,10 @@ bench-server:
 bench-telemetry:
 	BENCH_JSON=1 $(GO) test -run 'TestTelemetry(ScanAllocs|Bench)' -count=1 -v .
 
-# Convex solver smoke: the structured O(n) fast path, cold and
-# warm-started, vs the dense reference solver (convexopt.Minimize) on the
-# problems the fast path stages. Tiny run counts keep it CI-cheap; its
-# job is to prove the fast path compiles and stays engaged.
+# Convex solver smoke: the exact solve (strategy.Convex), plain and
+# through ConvexWarm, vs the barrier method (convexopt.Minimize) on the
+# problems it stages. Tiny run counts keep it CI-cheap; its job is to
+# prove the exact solve compiles and runs.
 bench-convex:
 	$(GO) test -bench 'BenchmarkConvex(Generic|Structured|Warm)' -benchtime 20x -benchmem -run '^$$' .
 

@@ -95,7 +95,7 @@ type (
 	Result = strategy.Result
 	// TradePlan is the per-hop flow of a result.
 	TradePlan = strategy.TradePlan
-	// ConvexOptions selects ConvexStrategy's warm-start policy.
+	// ConvexOptions is ConvexStrategy's options; ColdStart has no effect.
 	ConvexOptions = strategy.ConvexOptions
 )
 
@@ -107,7 +107,7 @@ type Strategy = strategy.Strategy
 // WarmStarter is the optional Strategy extension the delta-scan path
 // uses: strategies implementing it re-optimize dirty loops from the
 // previous block's captured result instead of cold-starting.
-// ConvexStrategy implements it.
+// ConvexStrategy implements it and ignores the previous result.
 type WarmStarter = strategy.WarmStarter
 
 // The paper's strategies as Strategy implementations.
@@ -287,12 +287,11 @@ var (
 	MaxPrice = strategy.MaxPrice
 	// MaxMax takes the best Traditional start (paper eq. 6).
 	MaxMax = strategy.MaxMax
-	// Convex solves the paper's problem (8) on the structured O(n) fast
-	// path.
+	// Convex solves the paper's problem (8) exactly: a KKT-certified
+	// closed form.
 	Convex = strategy.Convex
-	// ConvexWarm is Convex warm-started from a previous result for the
-	// same loop (the previous block's optimum) — the entry point behind
-	// delta-scan re-optimization.
+	// ConvexWarm returns Convex's result bit for bit; its previous
+	// result is ignored.
 	ConvexWarm = strategy.ConvexWarm
 	// ConvexRisky solves the shorting-allowed relaxation the paper
 	// mentions in §IV but declines to evaluate (extension).

@@ -47,7 +47,7 @@ func BenchmarkFig02(b *testing.B) {
 }
 
 // BenchmarkFig03 regenerates Fig. 3 (MaxMax vs ConvexOptimization over
-// the P_x sweep). Dominated by 101 barrier solves.
+// the P_x sweep): 101 convex solves.
 func BenchmarkFig03(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig3(0.2); err != nil {
@@ -194,8 +194,8 @@ func BenchmarkTableT3MaxMaxLen10(b *testing.B) {
 	}
 }
 
-// BenchmarkTableT3ConvexLen10 measures the barrier solve on a length-10
-// loop (§VII: the convex strategy is the slow one).
+// BenchmarkTableT3ConvexLen10 measures the convex strategy on a
+// length-10 loop (§VII's slow column; the exact solve is not slow).
 func BenchmarkTableT3ConvexLen10(b *testing.B) {
 	loop, prices, err := experiments.SyntheticLoop(10)
 	if err != nil {
@@ -275,9 +275,9 @@ func BenchmarkAblationProblem7(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProblem8 solves the relaxed problem (8) with the
-// barrier method; the paper's theory says it can only do better, at a
-// runtime cost this pair of benchmarks quantifies.
+// BenchmarkAblationProblem8 solves the relaxed problem (8) exactly; the
+// paper's theory says it can only do better, at a runtime cost this pair
+// of benchmarks quantifies.
 func BenchmarkAblationProblem8(b *testing.B) {
 	loop, prices := ablationLoop(b)
 	b.ResetTimer()
@@ -290,77 +290,30 @@ func BenchmarkAblationProblem8(b *testing.B) {
 
 // --- Convex solver paths (`make bench-convex`) ---
 //
-// The BenchmarkConvex* family compares the three ways one problem-(8)
-// solve can run: the dense reference barrier solver (convexopt.Minimize:
-// closure constraints, O(n³) Cholesky) on the problem the fast path
-// stages, the structured fast path (strategy.Convex: analytic curves,
-// O(n) cyclic Newton, pooled scratch), and the structured path
-// warm-started from a previous optimum — the delta-scan configuration.
-
-// convexBenchSolverOptions are the barrier parameters strategy.Convex
-// solves with.
-var convexBenchSolverOptions = convexopt.Options{MaxNewton: 300}
-
-// stageConvex builds the problem strategy.Convex hands its structured
-// solver for loop — per-hop fee multipliers, oriented reserves and
-// prices — and its strictly interior start: the MaxMax plan shrunk until
-// every flow constraint is slack. ok is false when no shrink lands
-// inside (a near-degenerate loop, which Convex answers with the MaxMax
-// plan without solving).
-func stageConvex(tb testing.TB, loop *strategy.Loop, prices strategy.PriceMap) (p *convexopt.LoopProblem, x0 []float64, ok bool) {
-	tb.Helper()
-	n := loop.Len()
-	p = new(convexopt.LoopProblem)
-	p.Reset(n)
-	offset := -1
-	mm, err := strategy.MaxMax(loop, prices)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		h := loop.Hop(i)
-		rin, rout, err := h.Pool.Reserves(loop.Token(i))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out, err := h.TokenOut()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		p.Gamma[i], p.RIn[i], p.ROut[i] = h.Pool.Gamma(), rin, rout
-		p.PIn[i], p.POut[i] = prices[loop.Token(i)], prices[out]
-		if loop.Token(i) == mm.StartToken {
-			offset = i
-		}
-	}
-	if offset < 0 || !(mm.Input > 0) {
-		return p, nil, false
-	}
-	x0 = make([]float64, n)
-	for _, eta := range []float64{0.05, 0.15, 0.4, 0.75} {
-		for i := 0; i < n; i++ {
-			x0[(i+offset)%n] = (1 - eta) * mm.Plan.Inputs[i]
-		}
-		if p.Interior(x0) {
-			return p, x0, true
-		}
-	}
-	return p, nil, false
-}
+// The BenchmarkConvex* family compares the ways one problem-(8) solve can
+// run: the barrier method (convexopt.Minimize: closure constraints,
+// O(n³) Cholesky) on the problem and interior start
+// experiments.StageBarrier stages, and the strategy's exact solve
+// (strategy.Convex: a KKT-certified closed form, pooled scratch), plain
+// and through ConvexWarm — the delta-scan entry point, which ignores its
+// previous result.
 
 func benchmarkConvexGeneric(b *testing.B, length int) {
 	loop, prices, err := experiments.SyntheticLoop(length)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, x0, ok := stageConvex(b, loop, prices)
-	if !ok {
+	p, x0, err := experiments.StageBarrier(loop, prices)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if x0 == nil {
 		b.Fatalf("length-%d synthetic loop has no interior start", length)
 	}
 	prob := p.Generic()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := convexopt.Minimize(prob, x0, convexBenchSolverOptions); err != nil {
+		if _, err := convexopt.Minimize(prob, x0, experiments.BarrierOptions); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -256,8 +256,8 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	}
 	// Every layer's metrics mount into the server registry behind
 	// GET /v1/metrics: the scan engine's stage histograms and dirtiness
-	// EMAs, the feed's retry counters, and the convex solver's
-	// iteration/warm-start/fallback counts.
+	// EMAs, the feed's retry counters, and the convex solver's solve and
+	// enumeration counts.
 	cfg.scanner.Metrics().Register(srv.Telemetry())
 	watcher.RegisterMetrics(srv.Telemetry())
 	strategy.Telemetry().Register(srv.Telemetry())

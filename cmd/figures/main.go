@@ -381,10 +381,10 @@ func emitTableT3() error {
 	}
 	tbl := plot.Table{
 		Title:   "T3: runtime vs loop length (paper §VII: MaxMax ms-level at len 10; generic convex solver seconds)",
-		Columns: []string{"length", "MaxMax closed-form", "MaxMax bisection", "Convex barrier"},
+		Columns: []string{"length", "MaxMax closed-form", "MaxMax bisection", "Convex barrier", "Convex exact"},
 	}
 	for _, r := range rows {
-		tbl.AddRow(fmt.Sprint(r.Length), r.MaxMaxClosed.String(), r.MaxMaxBisect.String(), r.Convex.String())
+		tbl.AddRow(fmt.Sprint(r.Length), r.MaxMaxClosed.String(), r.MaxMaxBisect.String(), r.Barrier.String(), r.Convex.String())
 	}
 	return tbl.Render(os.Stdout)
 }

@@ -27,7 +27,7 @@ func TestRunSingleFigure(t *testing.T) {
 
 func TestRunSweepFigures(t *testing.T) {
 	dir := t.TempDir()
-	// Coarse step keeps the barrier solves cheap in tests.
+	// Coarse step keeps the sweep cheap in tests.
 	if err := run([]string{"-out", dir, "-fig", "3", "-step", "2.0"}); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func NewPool(id, token0, token1 string, reserve0, reserve1, fee float64) (*Pool,
 // NewPool routes through it at construction, and the feed boundary
 // (feed.Watcher) re-applies it on ingest so a source handing back
 // directly-built (or corrupted) Pool structs cannot smuggle NaN into the
-// cyclic-KKT solver. Errors unwrap to the typed amm errors
+// convex solve. Errors unwrap to the typed amm errors
 // (ErrNotFinite, ErrNonPositiveReserve, ErrInvalidFee).
 func (p *Pool) Validate() error {
 	if math.IsNaN(p.Reserve0) || math.IsNaN(p.Reserve1) || math.IsInf(p.Reserve0, 0) || math.IsInf(p.Reserve1, 0) {

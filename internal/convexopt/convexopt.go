@@ -10,11 +10,12 @@
 // solved through a dense Cholesky factorization (package linalg). The
 // suboptimality after the outer loop is bounded by m/t.
 //
-// The paper's ConvexOptimization strategy (problem (8)) is solved through
-// this package's structured loop solver (SolveLoop, loop.go); Minimize is
-// the dense reference it is tested and benchmarked against. Go lacks a
-// mature convex-optimization library, so the solver is hand-rolled (see
-// DESIGN.md substitutions).
+// The paper's ConvexOptimization strategy (problem (8)) is solved exactly
+// by package strategy from the coefficients staged in a LoopProblem
+// (loop.go); Minimize is the reference it is tested and benchmarked
+// against, and the barrier method of the paper's §VII runtime table. Go
+// lacks a mature convex-optimization library, so the solver is
+// hand-rolled (see DESIGN.md substitutions).
 package convexopt
 
 import (

@@ -313,11 +313,17 @@ func TestTableT3RuntimeShape(t *testing.T) {
 			t.Errorf("len %d: MaxMax bisection took %v", r.Length, r.MaxMaxBisect)
 		}
 	}
-	// Convex cost exceeds MaxMax and grows with length (relative shape).
+	// The barrier method's cost exceeds MaxMax (relative shape).
 	last := rows[len(rows)-1]
-	if last.Convex <= last.MaxMaxClosed {
-		t.Errorf("len %d: convex (%v) not slower than closed-form MaxMax (%v)",
-			last.Length, last.Convex, last.MaxMaxClosed)
+	if last.Barrier <= last.MaxMaxClosed {
+		t.Errorf("len %d: barrier (%v) not slower than closed-form MaxMax (%v)",
+			last.Length, last.Barrier, last.MaxMaxClosed)
+	}
+	// The strategy's exact solve is no slower than the barrier method.
+	for _, r := range rows {
+		if r.Convex > r.Barrier {
+			t.Errorf("len %d: Convex (%v) slower than the barrier method (%v)", r.Length, r.Convex, r.Barrier)
+		}
 	}
 }
 
@@ -350,5 +356,28 @@ func TestRunPipelineOnSnapshotRespectsMaxLoops(t *testing.T) {
 	}
 	if len(res.Loops) != 5 {
 		t.Errorf("loops = %d, want 5", len(res.Loops))
+	}
+}
+
+// TestConvexDominatesMaxMaxOnSectionVI checks the paper's Convex ≥ MaxMax
+// ordering (Fig. 7) with zero tolerance on every §VI arbitrage loop of
+// lengths 3, 4 and 5.
+func TestConvexDominatesMaxMaxOnSectionVI(t *testing.T) {
+	loops := 0
+	for _, n := range []int{3, 4, 5} {
+		res, err := RunPipeline(PipelineConfig{LoopLen: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, la := range res.Loops {
+			if la.Convex.Monetized < la.MaxMax.Monetized {
+				t.Errorf("%s: Convex %.17g < MaxMax %.17g", la.Loop, la.Convex.Monetized, la.MaxMax.Monetized)
+			}
+		}
+		loops += len(res.Loops)
+	}
+	// 123 + 755 + 5,167: the test covers the whole market.
+	if loops != 6045 {
+		t.Errorf("checked %d loops, want 6045", loops)
 	}
 }

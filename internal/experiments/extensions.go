@@ -63,9 +63,6 @@ func ExtGapSweep(points int) ([]GapRow, error) {
 			return nil, err
 		}
 		gap := cv.Monetized - mm.Monetized
-		if gap < 0 {
-			gap = 0 // solver tolerance
-		}
 		rel := 0.0
 		if cv.Monetized > 1e-12 {
 			rel = gap / cv.Monetized
@@ -158,9 +155,6 @@ func ExtGapRandom(trials int, seed int64) (GapStudy, error) {
 			return GapStudy{}, err
 		}
 		gap := cv.Monetized - mm.Monetized
-		if gap < 0 {
-			gap = 0
-		}
 		rel := 0.0
 		if cv.Monetized > 1e-12 {
 			rel = gap / cv.Monetized

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"arbloop/internal/convexopt"
 	"arbloop/internal/cycles"
 	"arbloop/internal/market"
 	"arbloop/internal/strategy"
@@ -136,15 +137,20 @@ type T3Row struct {
 	// MaxMaxBisect solves F'(Δ)=1 by bisection per start, the method the
 	// paper describes (§III).
 	MaxMaxBisect time.Duration
-	// Convex is the barrier-method solve of problem (8).
+	// Barrier is the barrier-method solve of problem (8) the paper times
+	// (convexopt.Minimize on the staged problem, from StageBarrier's
+	// interior start).
+	Barrier time.Duration
+	// Convex is the ConvexOptimization strategy: the exact solve.
 	Convex time.Duration
 }
 
 // TableT3 measures strategy runtime across loop lengths (paper §VII: for
 // a loop of length 10 MaxMax needs milliseconds while a generic convex
-// solve needs seconds; our hand-rolled solver is faster in absolute terms
-// but the relative growth must reproduce). Each cell times repeats calls
-// and keeps the fastest.
+// solve needs seconds; our hand-rolled barrier solver is faster in
+// absolute terms but the relative growth must reproduce). The Convex
+// column times the strategy itself, whose exact solve needs no barrier.
+// Each cell times repeats calls and keeps the fastest.
 func TableT3(lengths []int, repeats int) ([]T3Row, error) {
 	if len(lengths) == 0 {
 		lengths = []int{3, 4, 5, 6, 8, 10, 12}
@@ -180,6 +186,24 @@ func TableT3(lengths []int, repeats int) ([]T3Row, error) {
 			return nil, err
 		}
 
+		p, x0, err := StageBarrier(loop, prices)
+		if err != nil {
+			return nil, err
+		}
+		if x0 == nil {
+			return nil, fmt.Errorf("experiments: length-%d synthetic loop has no interior start", n)
+		}
+		prob := p.Generic()
+		row.Barrier, err = fastestOf(repeats, func() error {
+			if _, err := convexopt.Minimize(prob, x0, BarrierOptions); err != nil {
+				return fmt.Errorf("experiments: barrier len %d: %w", n, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+
 		row.Convex, err = fastestOf(repeats, func() error {
 			if _, err := strategy.Convex(loop, prices); err != nil {
 				return fmt.Errorf("experiments: convex len %d: %w", n, err)
@@ -193,6 +217,50 @@ func TableT3(lengths []int, repeats int) ([]T3Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// BarrierOptions are the barrier-method parameters of TableT3's Barrier
+// column and the barrier benchmarks: the solver defaults with a higher
+// Newton cap per centering.
+var BarrierOptions = convexopt.Options{MaxNewton: 300}
+
+// StageBarrier stages the loop's problem (8) for the barrier method: the
+// coefficients Convex solves (strategy.StageProblem) and a strictly
+// interior start, the MaxMax plan shrunk uniformly until every flow
+// constraint is slack (F strictly concave with F(0) = 0 gives
+// F(c·a) > c·F(a) for 0 < c < 1). x0 is nil when no shrink lands inside:
+// a loop whose price product is so close to 1 that float64 has no
+// interior.
+func StageBarrier(loop *strategy.Loop, prices strategy.PriceMap) (p *convexopt.LoopProblem, x0 []float64, err error) {
+	p = new(convexopt.LoopProblem)
+	if err := strategy.StageProblem(p, loop, prices); err != nil {
+		return nil, nil, err
+	}
+	mm, err := strategy.MaxMax(loop, prices)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := loop.Len()
+	offset := -1
+	for i := 0; i < n; i++ {
+		if loop.Token(i) == mm.StartToken {
+			offset = i
+			break
+		}
+	}
+	if offset < 0 || !(mm.Input > 0) {
+		return p, nil, nil
+	}
+	x0 = make([]float64, n)
+	for _, eta := range []float64{0.05, 0.15, 0.4, 0.75} {
+		for i := 0; i < n; i++ {
+			x0[(i+offset)%n] = (1 - eta) * mm.Plan.Inputs[i]
+		}
+		if p.Interior(x0) {
+			return p, x0, nil
+		}
+	}
+	return p, nil, nil
 }
 
 // fastestOf runs f repeats times and returns the shortest run.

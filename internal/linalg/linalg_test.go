@@ -377,3 +377,37 @@ func TestMatrixString(t *testing.T) {
 		t.Error("String() empty")
 	}
 }
+
+func TestVectorInPlaceOps(t *testing.T) {
+	v := Vector{1, 2, 3}
+	w := Vector{4, 5, 6}
+	if err := v.CopyFrom(w); err != nil {
+		t.Fatal(err)
+	}
+	if v[0] != 4 || v[2] != 6 {
+		t.Fatalf("CopyFrom: %v", v)
+	}
+	v.Zero()
+	if v[0] != 0 || v[2] != 0 {
+		t.Fatalf("Zero: %v", v)
+	}
+	if err := v.CopyFrom(Vector{1}); err == nil {
+		t.Fatal("CopyFrom accepted mismatched lengths")
+	}
+	m := NewMatrix(2, 2)
+	m.Set(0, 0, 7)
+	b := m.Clone()
+	m.Zero()
+	if m.At(0, 0) != 0 {
+		t.Fatal("Matrix.Zero left data")
+	}
+	if err := m.CopyFrom(b); err != nil {
+		t.Fatal(err)
+	}
+	if m.At(0, 0) != 7 {
+		t.Fatal("Matrix.CopyFrom lost data")
+	}
+	if err := m.CopyFrom(NewMatrix(3, 3)); err == nil {
+		t.Fatal("Matrix.CopyFrom accepted mismatched shapes")
+	}
+}

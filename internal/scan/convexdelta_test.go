@@ -2,7 +2,6 @@ package scan
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -35,45 +34,12 @@ func (c countingConvex) OptimizeWarm(ctx context.Context, l *strategy.Loop, pm s
 	return c.inner.OptimizeWarm(ctx, l, pm, prev)
 }
 
-// requireReportWithinTol matches a delta report against a full report of
-// the same state loop-for-loop (by detection index), with monetized
-// profits within tol — the Convex delta contract: warm starts change the
-// solver trajectory, so reports agree to solver tolerance rather than
-// bit-for-bit (strategy.ConvexOptions.ColdStart restores bit equality).
-func requireReportWithinTol(t *testing.T, delta, full Report, tol float64) {
-	t.Helper()
-	if delta.LoopsDetected != full.LoopsDetected || delta.Failed != full.Failed ||
-		delta.CyclesExamined != full.CyclesExamined {
-		t.Fatalf("report headers differ:\ndelta %+v\nfull  %+v", delta, full)
-	}
-	if len(delta.Results) != len(full.Results) {
-		t.Fatalf("results: delta %d != full %d", len(delta.Results), len(full.Results))
-	}
-	fullByIndex := make(map[int]Result, len(full.Results))
-	for _, r := range full.Results {
-		fullByIndex[r.Index] = r
-	}
-	for _, d := range delta.Results {
-		f, ok := fullByIndex[d.Index]
-		if !ok {
-			t.Fatalf("loop %d in delta report but not full", d.Index)
-		}
-		if d.Loop.String() != f.Loop.String() {
-			t.Fatalf("loop %d: delta %s != full %s", d.Index, d.Loop, f.Loop)
-		}
-		scale := 1 + math.Abs(f.Result.Monetized)
-		if diff := math.Abs(d.Result.Monetized - f.Result.Monetized); diff > tol*scale {
-			t.Fatalf("loop %d: delta monetized %.12g vs full %.12g", d.Index, d.Result.Monetized, f.Result.Monetized)
-		}
-	}
-}
-
 // TestRunDeltaConvexWarmStartEquivalence drives the sharded delta path
 // with the convex strategy over random dirty subsets and asserts (a)
-// delta reports match full scans of the same state within solver
-// tolerance, and (b) dirty loops actually re-optimize through the
-// warm-start entry point. Runs under -race in CI, covering concurrent
-// warm-started solves sharing the workspace pool.
+// delta reports are identical to full scans of the same state, and (b)
+// dirty loops actually re-optimize through the warm-start entry point.
+// Runs under -race in CI, covering concurrent solves sharing the
+// workspace pool.
 func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
@@ -102,7 +68,7 @@ func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireReportWithinTol(t, delta, full, 1e-6)
+			requireSameReport(t, delta, full)
 			if delta.LoopsReused == 0 {
 				t.Errorf("shards=%d round %d: delta path never reused a loop", cfg.Shards, round)
 			}
@@ -156,8 +122,8 @@ func TestRunDeltaConvexPriceMoveWarmStarts(t *testing.T) {
 
 // TestRunDeltaConvexAllocBudget is the acceptance guard: a steady-state
 // delta scan with the convex strategy stays within a bounded, pinned
-// allocation budget — the structured solver's fixed per-result cost —
-// and the dirty scans really run the barrier solver.
+// allocation budget — the exact solve's fixed per-result cost — and the
+// dirty scans really run the convex solve.
 func TestRunDeltaConvexAllocBudget(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
@@ -177,7 +143,7 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(63))
 	var reoptTotal int
-	newton := strategy.Telemetry().NewtonIters.Load()
+	solves := strategy.Telemetry().Solves.Load()
 	dirty := testing.AllocsPerRun(20, func() {
 		state = perturb(t, rng, state, 1)
 		rep, err := st.Scan(ctx, state, nil, src, nil)
@@ -186,10 +152,10 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 		}
 		reoptTotal += rep.LoopsReoptimized
 	})
-	newtonSteps := strategy.Telemetry().NewtonIters.Load() - newton
+	solved := strategy.Telemetry().Solves.Load() - solves
 	reopt := float64(reoptTotal) / 21 // AllocsPerRun runs f N+1 times
-	t.Logf("structured: clean %.1f allocs, 1-dirty-pool %.1f allocs (%.1f loops reoptimized, %d Newton steps)",
-		clean, dirty, reopt, newtonSteps)
+	t.Logf("exact: clean %.1f allocs, 1-dirty-pool %.1f allocs (%.1f loops reoptimized, %d convex solves)",
+		clean, dirty, reopt, solved)
 
 	// Clean steady state: no solves at all — the same fixed budget as any
 	// other strategy (price fetch, ranked slice, no commit).
@@ -207,9 +173,9 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 	}
 
 	// The budgets only mean something if the dirty scans solved: a
-	// re-optimization that silently stopped reaching the barrier solver
-	// (every loop served its MaxMax fallback) would pass them for free.
-	if newtonSteps == 0 {
-		t.Errorf("dirty scans re-optimized %.1f loops/scan but took no Newton steps", reopt)
+	// re-optimization that silently stopped reaching the convex solve
+	// would pass them for free.
+	if solved == 0 {
+		t.Errorf("dirty scans re-optimized %.1f loops/scan but ran no convex solve", reopt)
 	}
 }

@@ -1,7 +1,9 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"arbloop/internal/convexopt"
@@ -9,19 +11,24 @@ import (
 
 // ConvexOptions tunes ConvexStrategy.
 type ConvexOptions struct {
-	// ColdStart makes ConvexStrategy.OptimizeWarm (the delta-scan path)
-	// ignore previous-solution warm starts and solve cold with Convex, so
-	// repeated solves of the same state are bit-reproducible.
+	// ColdStart has no effect. A convex solve never reads a previous
+	// result, so repeated solves of the same state are bit-identical
+	// without it; the field remains so existing callers compile.
 	ColdStart bool
 }
 
-// Convex solves the paper's problem (8) on the loop: maximize
+// maxFaceLen is the longest loop whose faces Convex enumerates: 2ⁿ − 1
+// faces of up to n segments each. At this length the enumeration takes
+// about 20 ms on the loop BenchmarkConvexEnumerateLen12 times at 12.
+const maxFaceLen = 20
+
+// Convex solves the paper's problem (8) on the loop exactly: maximize
 // Σ_t P_t·(net amount of token t) subject to the per-pool CPMM constraints
 // and per-token no-shorting constraints Δout ≥ Δin.
 //
-// Reduction (DESIGN.md §5): at the optimum every pool constraint is tight
-// (more output never hurts), so the decision variables shrink to the
-// per-hop inputs a ∈ R^n_+ with
+// At the optimum every pool constraint is tight (more output never
+// hurts), so the decision variables shrink to the per-hop inputs
+// a ∈ R^n_+ with
 //
 //	maximize   Σ_i [ P_out(i)·F_i(a_i) − P_tok(i)·a_i ]
 //	subject to F_i(a_i) ≥ a_{(i+1) mod n}   (no shorting any token)
@@ -30,37 +37,31 @@ type ConvexOptions struct {
 // The objective is concave (F_i concave, prices ≥ 0) and the constraints
 // convex, matching the paper's convexity claim. When the loop is not an
 // arbitrage loop the feasible set collapses to {0} (the §IV no-arbitrage
-// theorem), which the implementation returns directly without invoking the
-// solver.
+// theorem), which is returned directly.
 //
-// The solve runs on the structured fast path — precomputed per-hop CPMM
-// coefficients, analytic F/F′/F″, and an O(n) cyclic-KKT Newton step
-// with all scratch pooled, so a solve is allocation-free after warm-up
-// (see convexopt.SolveLoop). The result never degrades below the MaxMax
-// plan: when the warm start cannot find an interior point (near-degenerate
-// loops with price product barely above 1) or the solver fails or
-// underperforms, the always-feasible MaxMax plan is returned as the convex
-// result instead of an error — one degenerate loop must not sink a
-// whole-market scan.
+// The optimum has a closed form. A face is the set S of tokens allowed a
+// positive net. Every other token nets zero, so the hops between two
+// consecutive tokens s, e of S compose into one Möbius map
+// G(x) = Ax/(B+Cx), and the face splits into one-variable problems
+// max P_e·G(x) − P_s·x solved by x = (√(AB·P_e/P_s) − B)/C, clamped at 0
+// (the no-trade band of Milionis, Moallemi and Roughgarden). The optimum
+// is the best face whose nets all come out ≥ 0. Singleton faces are
+// MaxMax's rotations, so Convex takes the best rotation and certifies it
+// with the KKT conditions in O(n): walking the shadow prices
+// q_{i+1} = q_i / F_i′(a_i) from the rotation's start token, where q
+// equals P, the rotation is optimal when q_t ≥ P_t at every other token.
+// Only when the certificate fails (about 0.2% of the §VI market's loops)
+// are all 2ⁿ − 1 faces enumerated from a table of the n² segments'
+// closed-form solutions. That worst case measures about 85 µs at n = 12,
+// the longest loop any test solves, against about 1 µs for a certified
+// solve (BenchmarkConvexEnumerateLen12; Intel Xeon, 2 CPUs, Go 1.24). A
+// loop longer than 20 hops whose certificate fails returns
+// ErrLoopTooLong.
+//
+// Plans are walked hop by hop, so zero-net tokens net exactly zero, every
+// net is ≥ 0 exactly, and Monetized is never below MaxMax's. A solve is
+// deterministic and allocates nothing beyond its Result.
 func Convex(l *Loop, prices PriceMap) (Result, error) {
-	return convexSolve(l, prices, nil)
-}
-
-// ConvexWarm is Convex warm-started from a previous result for the same
-// loop (typically the previous block's optimum, with reserves slightly
-// moved). The previous plan is re-feasibilized by uniform shrinking —
-// the shifted point is strictly interior again after a small shrink
-// because F is strictly concave — and used as the barrier start; when no
-// shrink factor lands inside (reserves moved too much, orientation
-// changed, zero plan) or prev is nil the solve falls back to the standard
-// MaxMax warm start. The optimum is independent of the start point up to
-// solver tolerance, so warm starts change latency, not correctness (call
-// Convex to pin bit-reproducibility instead).
-func ConvexWarm(l *Loop, prices PriceMap, prev *Result) (Result, error) {
-	return convexSolve(l, prices, prev)
-}
-
-func convexSolve(l *Loop, prices PriceMap, prev *Result) (Result, error) {
 	if err := prices.Validate(l); err != nil {
 		return Result{}, err
 	}
@@ -81,33 +82,42 @@ func convexSolve(l *Loop, prices PriceMap, prev *Result) (Result, error) {
 			Monetized: 0,
 		}, nil
 	}
-	return convexStructured(l, prices, prev)
+
+	w := convexWSPool.Get().(*convexWS)
+	defer convexWSPool.Put(w)
+	if err := w.stage(l, prices); err != nil {
+		return Result{}, err
+	}
+	if !w.solve() {
+		return Result{}, fmt.Errorf("%w: %d hops, at most %d for the convex face enumeration", ErrLoopTooLong, n, maxFaceLen)
+	}
+	return w.result(l, prices)
 }
 
-// convexSolverOptions are the barrier parameters of every convex solve:
-// the solver defaults with a higher Newton cap per centering.
-var convexSolverOptions = convexopt.Options{MaxNewton: 300}
+// ConvexWarm returns Convex(l, prices) bit for bit; prev is ignored. The
+// exact solve needs no start point, so a previous result cannot change
+// it.
+func ConvexWarm(l *Loop, prices PriceMap, prev *Result) (Result, error) {
+	return Convex(l, prices)
+}
 
-// convexWS is the pooled per-solve scratch of the structured fast path:
-// the coefficient arrays, the solver workspace, and the warm-start
-// staging vectors. sync.Pool recycles them across goroutines, so a warm
-// scanner solves with no allocation beyond the result itself.
+// convexWS is the pooled per-solve scratch: the staged coefficients, the
+// plan being built, and the segment table. sync.Pool recycles it across
+// goroutines, so a warm scanner solves with no allocation beyond the
+// result itself.
 type convexWS struct {
 	prob convexopt.LoopProblem
-	ws   convexopt.LoopWorkspace
-	base []float64 // warm-start plan in loop indexing, before shrinking
-	x0   []float64 // shrunk strictly-interior start
-	amts []float64 // per-hop amounts scratch for the rotation scan
+	plan []float64 // per-hop inputs of the best plan so far, loop indexing
+	amts []float64 // per-hop inputs of the rotation being walked
+	// segX and segY hold, at s·n+e, the closed-form input of the segment
+	// from free token s to free token e (e = s: the whole loop) and that
+	// input walked through the segment's hops into e.
+	segX, segY []float64
+	// unpriced has bit t set when token t's price is 0.
+	unpriced uint64
 }
 
 var convexWSPool = sync.Pool{New: func() any { return new(convexWS) }}
-
-func (w *convexWS) reset(n int) {
-	w.prob.Reset(n)
-	w.base = growFloats(w.base, n)
-	w.x0 = growFloats(w.x0, n)
-	w.amts = growFloats(w.amts, n)
-}
 
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -116,175 +126,93 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// convexStructured is the fast path: coefficients once, analytic curves,
-// O(n) Newton steps, pooled scratch.
-func convexStructured(l *Loop, prices PriceMap, prev *Result) (Result, error) {
+// StageProblem stages the loop's problem (8) in p: each hop's fee
+// multiplier γ, its reserves oriented for the hop, and the CEX prices of
+// its input and output tokens. Convex solves exactly the problem staged
+// here.
+func StageProblem(p *convexopt.LoopProblem, l *Loop, prices PriceMap) error {
 	n := l.Len()
-	tel := Telemetry()
-	tel.Solves.Inc()
-	w := convexWSPool.Get().(*convexWS)
-	defer convexWSPool.Put(w)
-	w.reset(n)
-
+	p.Reset(n)
 	for i := 0; i < n; i++ {
 		h := l.Hop(i)
 		rin, rout, err := h.Pool.Reserves(l.tokens[i])
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		out, err := h.TokenOut()
 		if err != nil {
-			return Result{}, err
+			return err
 		}
-		w.prob.Gamma[i] = h.Pool.Gamma()
-		w.prob.RIn[i] = rin
-		w.prob.ROut[i] = rout
-		w.prob.PIn[i] = prices[l.tokens[i]]
-		w.prob.POut[i] = prices[out]
+		p.Gamma[i] = h.Pool.Gamma()
+		p.RIn[i] = rin
+		p.ROut[i] = rout
+		p.PIn[i] = prices[l.tokens[i]]
+		p.POut[i] = prices[out]
 	}
-
-	// Start point: the previous solution when it re-feasibilizes, the
-	// MaxMax plan otherwise; both shrink-to-interior. bestRotation stages
-	// the best single-rotation plan in w.base — the warm-start base, the
-	// quality floor, and the always-feasible fallback plan all at once.
-	started := prev != nil && w.startFromPrev(l, prev)
-	if prev != nil {
-		if started {
-			tel.WarmHits.Inc()
-		} else {
-			tel.WarmMisses.Inc()
-		}
-	}
-	mmProfit := w.bestRotation(l)
-	if !started && !w.shrinkToInterior([]float64{0.05, 0.15, 0.4, 0.75}) {
-		// Near-degenerate loop: no strictly interior point is reachable
-		// in float64 (price product barely above 1). Serve the MaxMax
-		// plan instead of aborting the scan (it walks the curves exactly,
-		// so it is feasible even when its interior has vanished).
-		tel.Fallbacks.Inc()
-		return w.resultFromInputs(l, prices, w.base)
-	}
-
-	res, err := convexopt.SolveLoop(&w.prob, w.x0, convexSolverOptions, &w.ws)
-	if err != nil {
-		tel.Fallbacks.Inc()
-		return w.resultFromInputs(l, prices, w.base)
-	}
-	tel.NewtonIters.Add(uint64(res.NewtonIters))
-	tel.OuterIters.Add(uint64(res.OuterIters))
-
-	solved, err := w.resultFromInputs(l, prices, res.X)
-	if err != nil {
-		return Result{}, err
-	}
-	if !(solved.Monetized >= mmProfit) {
-		// The solve stopped short of the single-rotation optimum — for a
-		// loop whose convex optimum is the single rotation, the barrier
-		// approaches it from the interior and lands a gap below. The
-		// MaxMax plan is the better answer and preserves Convex ≥ MaxMax.
-		tel.Fallbacks.Inc()
-		return w.resultFromInputs(l, prices, w.base)
-	}
-	return solved, nil
+	return nil
 }
 
-// resultFromInputs materializes a convex result from per-hop inputs in
-// loop indexing: outputs via the analytic curves, net tokens, dust
-// clamping, loop-order monetization.
-func (w *convexWS) resultFromInputs(l *Loop, prices PriceMap, inputs []float64) (Result, error) {
+// stage stages the loop's problem in w and sizes the plan scratch.
+func (w *convexWS) stage(l *Loop, prices PriceMap) error {
+	if err := StageProblem(&w.prob, l, prices); err != nil {
+		return err
+	}
 	n := l.Len()
-	plan := TradePlan{Inputs: make([]float64, n), Outputs: make([]float64, n)}
+	w.plan = growFloats(w.plan, n)
+	w.amts = growFloats(w.amts, n)
+	w.unpriced = 0
 	for i := 0; i < n; i++ {
-		a := inputs[i]
-		if !(a > 0) {
-			a = 0
-		}
-		plan.Inputs[i] = a
-		plan.Outputs[i] = w.prob.F(i, a)
-	}
-	net := plan.NetTokens(l)
-	// Clamp barrier slack: net amounts within solver tolerance of zero are
-	// zero (the true optimum satisfies no-shorting exactly).
-	for t, v := range net {
-		if math.Abs(v) < 1e-9 {
-			net[t] = 0
+		if !(w.prob.PIn[i] > 0) {
+			w.unpriced |= 1 << i
 		}
 	}
-	mon, err := Monetize(l, net, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Strategy:  NameConvex,
-		Loop:      l,
-		Plan:      plan,
-		NetTokens: net,
-		Monetized: mon,
-	}, nil
+	return nil
 }
 
-// prevShrinkEtas is the shrink schedule for previous-solution warm
-// starts — tighter than the MaxMax schedule, because the previous
-// optimum is typically a hair outside the new feasible set and a small
-// nudge keeps the central path short.
-var prevShrinkEtas = []float64{0.01, 0.05, 0.2, 0.5}
-
-// alignPrevInputs maps prev's per-hop inputs onto l's hop indexing,
-// writing them into dst (length l.Len()). prev.Loop is l itself for
-// structured convex results, a rotation of it for MaxMax-shaped results;
-// alignment anchors on the rotation's first token. Reports false when
-// the loops don't share length and token sequence.
-func alignPrevInputs(l *Loop, prev *Result, dst []float64) bool {
-	n := l.Len()
-	if prev.Loop == nil || prev.Loop.Len() != n || len(prev.Plan.Inputs) != n {
+// solve stages the optimal per-hop inputs in w.plan: the best rotation
+// when the KKT certificate accepts it, the best face otherwise. It
+// reports false when the certificate fails on a loop too long to
+// enumerate.
+//
+//arblint:hotpath
+func (w *convexWS) solve() bool {
+	tel := Telemetry()
+	tel.Solves.Inc()
+	start, profit := w.bestRotation()
+	if w.certified(start) {
+		return true
+	}
+	tel.Enumerations.Inc()
+	if w.prob.N() > maxFaceLen {
 		return false
 	}
-	offset := 0
-	if prev.Loop != l {
-		offset = -1
-		anchor := prev.Loop.Token(0)
-		for i := 0; i < n; i++ {
-			if l.Token(i) == anchor {
-				offset = i
-				break
-			}
-		}
-		if offset < 0 {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if prev.Loop.Token(i) != l.Token((i+offset)%n) {
-				return false
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		dst[(i+offset)%n] = prev.Plan.Inputs[i]
-	}
+	w.enumerate(profit)
 	return true
 }
 
-// startFromPrev stages prev's plan as the warm start and shrinks it to
-// the interior.
-func (w *convexWS) startFromPrev(l *Loop, prev *Result) bool {
-	return alignPrevInputs(l, prev, w.base) && w.shrinkToInterior(prevShrinkEtas)
+// compose appends hop i to the Möbius map (A, B, C), exactly as
+// amm.Mobius.Compose does on the pool's coefficients.
+//
+//arblint:hotpath
+func (w *convexWS) compose(A, B, C float64, i int) (float64, float64, float64) {
+	a2, b2, c2 := w.prob.Gamma[i]*w.prob.ROut[i], w.prob.RIn[i], w.prob.Gamma[i]
+	return a2 * A, B * b2, b2*C + c2*A
 }
 
 // bestRotation runs the closed-form single-start optimum from every
 // rotation of the loop — MaxMax, but allocation-free against the staged
-// coefficients — writes the best rotation's per-hop inputs into w.base,
-// and returns its monetized profit. Rotations are scanned in loop order
-// and ties keep the earliest, mirroring MaxMax's determinism.
-func (w *convexWS) bestRotation(l *Loop) float64 {
-	n := l.Len()
-	best := math.Inf(-1)
+// coefficients — stages the best rotation's per-hop inputs in w.plan,
+// and returns its start token and monetized profit. Rotations are
+// scanned in loop order and ties keep the earliest, so the plan and its
+// profit are MaxMax's bit for bit.
+//
+//arblint:hotpath
+func (w *convexWS) bestRotation() (start int, profit float64) {
+	n := w.prob.N()
 	for r := 0; r < n; r++ {
-		// Compose the Möbius maps F(Δ) = AΔ/(B+CΔ) of hops r, r+1, …
 		A, B, C := 1.0, 1.0, 0.0
 		for k := 0; k < n; k++ {
-			i := (r + k) % n
-			a2, b2, c2 := w.prob.Gamma[i]*w.prob.ROut[i], w.prob.RIn[i], w.prob.Gamma[i]
-			A, B, C = a2*A, B*b2, b2*C+c2*A
+			A, B, C = w.compose(A, B, C, (r+k)%n)
 		}
 		input := 0.0
 		if A > B && C > 0 {
@@ -299,30 +227,162 @@ func (w *convexWS) bestRotation(l *Loop) float64 {
 			w.amts[i] = amt
 			amt = w.prob.F(i, amt)
 		}
-		profit := w.prob.PIn[r] * (amt - input)
-		if profit > best {
-			best = profit
-			copy(w.base, w.amts)
+		if v := w.prob.PIn[r] * (amt - input); r == 0 || v > profit {
+			start, profit = r, v
+			copy(w.plan, w.amts)
 		}
 	}
-	return best
+	return start, profit
 }
 
-// shrinkToInterior scales w.base by each (1−η) in turn until the point is
-// strictly interior, staging the result in w.x0. F strictly concave with
-// F(0) = 0 gives F(c·a) > c·F(a) for 0 < c < 1, so a feasible plan turns
-// strictly interior under uniform shrinking — unless the loop is so close
-// to no-arbitrage that the margin vanishes in float64.
-func (w *convexWS) shrinkToInterior(etas []float64) bool {
-	n := len(w.base)
-	for _, eta := range etas {
-		c := 1 - eta
-		for i := 0; i < n; i++ {
-			w.x0[i] = c * w.base[i]
-		}
-		if w.prob.Interior(w.x0) {
-			return true
+// certified reports whether the rotation plan in w.plan, which nets
+// profit only in token r, passes the KKT certificate of problem (8).
+// Walking the shadow prices q_{i+1} = q_i / F_i′(a_i) around the loop
+// from q_r = P_r gives every other token's no-shorting multiplier
+// q_t − P_t; the plan is the global optimum when none is negative (KKT
+// is sufficient for a concave problem). The comparisons carry no
+// tolerance, so a rounding-level miss costs an enumeration, never a wrong
+// answer.
+//
+//arblint:hotpath
+func (w *convexWS) certified(r int) bool {
+	n := w.prob.N()
+	q := w.prob.PIn[r]
+	for k := 0; k < n-1; k++ {
+		i := (r + k) % n
+		q /= w.prob.DF(i, w.plan[i])
+		if !(q >= w.prob.POut[i]) {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// enumerate stages in w.plan the best feasible face, keeping the
+// rotation already there (worth best) unless a face is strictly better.
+// A face, as a bit mask, is infeasible when one of its tokens is priced
+// 0 (that token's input would be unbounded) or a net comes out negative.
+//
+//arblint:hotpath
+func (w *convexWS) enumerate(best float64) {
+	n := w.prob.N()
+	w.segments()
+	bestFace := uint64(0)
+	for face := uint64(1); face < 1<<n; face++ {
+		if face&w.unpriced != 0 {
+			continue
+		}
+		if v, ok := w.faceValue(face); ok && v > best {
+			best, bestFace = v, face
+		}
+	}
+	if bestFace != 0 {
+		w.walkFace(bestFace)
+	}
+}
+
+// segments fills the segment table. For each ordered pair of free tokens
+// (s, e), the hops from s up to e compose into G(x) = Ax/(B+Cx), and
+// P_e·G(x) − P_s·x peaks at x = (√(AB·P_e/P_s) − B)/C, clamped at 0; an
+// end token priced 0 clamps the input to 0. The stored output walks x
+// through the segment's hops exactly as walkFace replays it.
+//
+//arblint:hotpath
+func (w *convexWS) segments() {
+	n := w.prob.N()
+	w.segX = growFloats(w.segX, n*n)
+	w.segY = growFloats(w.segY, n*n)
+	for s := 0; s < n; s++ {
+		ps := w.prob.PIn[s]
+		A, B, C := 1.0, 1.0, 0.0
+		for k := 1; k <= n; k++ {
+			A, B, C = w.compose(A, B, C, (s+k-1)%n)
+			e := (s + k) % n
+			x := 0.0
+			if ps > 0 { // an unpriced start never serves: enumerate skips its faces
+				if v := (math.Sqrt(A*B*(w.prob.PIn[e]/ps)) - B) / C; v > 0 {
+					x = v
+				}
+			}
+			y := x
+			for j := 0; j < k; j++ {
+				y = w.prob.F((s+j)%n, y)
+			}
+			w.segX[s*n+e], w.segY[s*n+e] = x, y
+		}
+	}
+}
+
+// faceValue returns the monetized profit of the face's plan and whether
+// every net is ≥ 0. The nets come from the segment table, so they are
+// the walked plan's nets exactly, and they accumulate in loop-token order
+// as Monetize does, so the value is the served Monetized bit for bit.
+//
+//arblint:hotpath
+func (w *convexWS) faceValue(face uint64) (float64, bool) {
+	n := w.prob.N()
+	prev := bits.Len64(face) - 1 // the last free token precedes the first
+	v := 0.0
+	for rest := face; rest != 0; rest &= rest - 1 {
+		t := bits.TrailingZeros64(rest)
+		net := w.segY[prev*n+t] - w.segX[t*n+nextFree(face, t)]
+		if !(net >= 0) {
+			return 0, false
+		}
+		v += w.prob.PIn[t] * net
+		prev = t
+	}
+	return v, true
+}
+
+// walkFace stages the face's plan in w.plan, walking each segment's
+// closed-form input through its hops.
+//
+//arblint:hotpath
+func (w *convexWS) walkFace(face uint64) {
+	n := w.prob.N()
+	first := bits.TrailingZeros64(face)
+	amt := 0.0
+	for k := 0; k < n; k++ {
+		i := (first + k) % n
+		if face&(1<<i) != 0 {
+			amt = w.segX[i*n+nextFree(face, i)]
+		}
+		w.plan[i] = amt
+		amt = w.prob.F(i, amt)
+	}
+}
+
+// nextFree returns the face's next token after t in loop order (t itself
+// when it is the face's only token).
+//
+//arblint:hotpath
+func nextFree(face uint64, t int) int {
+	if after := face >> (t + 1); after != 0 {
+		return t + 1 + bits.TrailingZeros64(after)
+	}
+	return bits.TrailingZeros64(face)
+}
+
+// result materializes the plan staged in w.plan: outputs via the staged
+// curves, net tokens, loop-order monetization.
+func (w *convexWS) result(l *Loop, prices PriceMap) (Result, error) {
+	n := l.Len()
+	plan := TradePlan{Inputs: make([]float64, n), Outputs: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		plan.Inputs[i] = w.plan[i]
+		plan.Outputs[i] = w.prob.F(i, w.plan[i])
+	}
+	net := plan.NetTokens(l)
+	mon, err := Monetize(l, net, prices)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Strategy:  NameConvex,
+		Loop:      l,
+		Plan:      plan,
+		NetTokens: net,
+		Monetized: mon,
+	}, nil
 }

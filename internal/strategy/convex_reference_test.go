@@ -8,6 +8,10 @@ import (
 	"arbloop/internal/linalg"
 )
 
+// convexSolverOptions are the barrier parameters of the reference solve:
+// the solver defaults with a higher Newton cap per centering.
+var convexSolverOptions = convexopt.Options{MaxNewton: 300}
+
 // convexReference is the dense reference solve of problem (8): the
 // closure-based problem handed to the dense barrier solver
 // (convexopt.Minimize). It evaluates the curves through amm.Pool rather

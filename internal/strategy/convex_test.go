@@ -2,9 +2,12 @@ package strategy
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"arbloop/internal/amm"
@@ -47,51 +50,69 @@ func randomProfitableLoop(t testing.TB, rng *rand.Rand, n int) (*Loop, PriceMap)
 	return l, prices
 }
 
-// TestConvexStructuredMatchesGeneric is the strategy-level equivalence
-// property: the structured fast path (Convex) and the dense reference
-// solve (convexReference) agree on plan vectors and monetized profit
-// within 1e-6 (relative) over random profitable loops of length 2–6 ×
-// random fees/reserves/prices.
+// TestConvexStructuredMatchesGeneric is the strategy-level oracle
+// property: the exact solve (Convex) and the dense barrier reference
+// (convexReference) agree on plan vectors and monetized profit within
+// 1e-6 (relative), and Convex is never below the reference by more than
+// 1e-9 of the scale, over random profitable loops of length 2–6 ×
+// random fees/reserves/prices. Every loop also runs with one token
+// priced 0, since the segment formula divides by a start token's price.
 func TestConvexStructuredMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for n := 2; n <= 6; n++ {
 		for trial := 0; trial < 10; trial++ {
 			l, prices := randomProfitableLoop(t, rng, n)
-			fast, err := Convex(l, prices)
-			if err != nil {
-				t.Fatalf("n=%d trial %d: structured: %v", n, trial, err)
-			}
-			gen, err := convexReference(l, prices)
-			if err != nil {
-				t.Fatalf("n=%d trial %d: reference: %v", n, trial, err)
-			}
-			scale := 1 + math.Abs(gen.Monetized)
-			if d := math.Abs(fast.Monetized - gen.Monetized); d > 1e-6*scale {
-				t.Errorf("n=%d trial %d: monetized structured %.12g vs reference %.12g",
-					n, trial, fast.Monetized, gen.Monetized)
-			}
-			// Plan comparison needs rotation-aware alignment: either side
-			// may have fallen back to the MaxMax plan, whose result loop
-			// is a rotation of l.
-			for i := 0; i < n; i++ {
-				fa := planInputFor(fast, l.Token(i))
-				ga := planInputFor(gen, l.Token(i))
-				if d := math.Abs(fa - ga); d > 1e-6*(1+math.Abs(ga)) {
-					t.Errorf("n=%d trial %d: input[%s] structured %.12g vs reference %.12g",
-						n, trial, l.Token(i), fa, ga)
-				}
-			}
-			// Dominance (§IV): the convex result never loses to MaxMax.
-			mm, err := MaxMax(l, prices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Monetized < mm.Monetized-1e-9*scale {
-				t.Errorf("n=%d trial %d: structured %.12g below MaxMax %.12g",
-					n, trial, fast.Monetized, mm.Monetized)
-			}
+			requireMatchesReference(t, fmt.Sprintf("n=%d trial %d", n, trial), l, prices)
+			zeroed := maps.Clone(prices)
+			zeroed[l.Token(trial%n)] = 0
+			requireMatchesReference(t, fmt.Sprintf("n=%d trial %d, %s priced 0", n, trial, l.Token(trial%n)), l, zeroed)
 		}
 	}
+}
+
+// requireMatchesReference checks Convex against convexReference on one
+// loop: monetized profit and plan within 1e-6 (relative), never below
+// the reference by more than 1e-9 of the scale, finite non-negative
+// inputs, and never below MaxMax.
+func requireMatchesReference(t *testing.T, name string, l *Loop, prices PriceMap) Result {
+	t.Helper()
+	fast, err := Convex(l, prices)
+	if err != nil {
+		t.Fatalf("%s: Convex: %v", name, err)
+	}
+	ref, err := convexReference(l, prices)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	scale := 1 + math.Abs(ref.Monetized)
+	if d := math.Abs(fast.Monetized - ref.Monetized); d > 1e-6*scale {
+		t.Errorf("%s: monetized exact %.12g vs reference %.12g", name, fast.Monetized, ref.Monetized)
+	}
+	if fast.Monetized < ref.Monetized-1e-9*scale {
+		t.Errorf("%s: exact %.12g below reference %.12g", name, fast.Monetized, ref.Monetized)
+	}
+	// Plan comparison needs rotation-aware alignment: the reference may
+	// have fallen back to the MaxMax plan, whose result loop is a
+	// rotation of l.
+	for i := 0; i < l.Len(); i++ {
+		fa := planInputFor(fast, l.Token(i))
+		ra := planInputFor(ref, l.Token(i))
+		if !(fa >= 0) || math.IsInf(fa, 1) {
+			t.Errorf("%s: input[%s] = %g, want finite and >= 0", name, l.Token(i), fa)
+		}
+		if d := math.Abs(fa - ra); d > 1e-6*(1+math.Abs(ra)) {
+			t.Errorf("%s: input[%s] exact %.12g vs reference %.12g", name, l.Token(i), fa, ra)
+		}
+	}
+	// Dominance (§IV): the convex result never loses to MaxMax.
+	mm, err := MaxMax(l, prices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Monetized < mm.Monetized {
+		t.Errorf("%s: exact %.12g below MaxMax %.12g", name, fast.Monetized, mm.Monetized)
+	}
+	return fast
 }
 
 // planInputFor returns the result's input amount for the hop consuming
@@ -108,9 +129,7 @@ func planInputFor(r Result, tok string) float64 {
 // nearDegenerateLoop builds a profitable loop whose price product is
 // 1 + 2⁻⁵², the next float64 above 1. With unit reserves the MaxMax plan
 // is so small that no uniform shrink of it is strictly interior in
-// float64 — the regression case for the warm-start failure that used to
-// error out of Convex (and, through Strategy.Optimize, fail whole-scan
-// loops).
+// float64 — the loop the barrier method cannot start on.
 func nearDegenerateLoop(t testing.TB) (*Loop, PriceMap) {
 	t.Helper()
 	g := 1 - 0.003
@@ -126,10 +145,10 @@ func nearDegenerateLoop(t testing.TB) (*Loop, PriceMap) {
 	return l, PriceMap{"A": 2, "B": 3}
 }
 
-// TestConvexDegenerateFallsBackToMaxMax is the no-interior regression: a
-// profitable but near-degenerate loop must yield the MaxMax plan, not an
-// error, on both the structured path and the dense reference — and the
-// structured path must fall back before taking a Newton step.
+// TestConvexDegenerateFallsBackToMaxMax is the no-interior regression: on
+// a profitable but near-degenerate loop Convex returns MaxMax's plan and
+// profit exactly, and the dense reference falls back to the MaxMax plan
+// — an error from neither.
 func TestConvexDegenerateFallsBackToMaxMax(t *testing.T) {
 	l, prices := nearDegenerateLoop(t)
 	profitable, err := l.Profitable()
@@ -148,46 +167,149 @@ func TestConvexDegenerateFallsBackToMaxMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := Telemetry()
-	fallbacks, newton := tel.Fallbacks.Load(), tel.NewtonIters.Load()
 	fast, err := Convex(l, prices)
 	if err != nil {
 		t.Fatalf("Convex on near-degenerate loop: %v", err)
 	}
-	if got := tel.Fallbacks.Load() - fallbacks; got != 1 {
-		t.Errorf("structured solve advanced Fallbacks by %d, want 1", got)
+	if fast.Strategy != NameConvex {
+		t.Errorf("exact result strategy = %q", fast.Strategy)
 	}
-	if got := tel.NewtonIters.Load() - newton; got != 0 {
-		t.Errorf("structured solve took %d Newton steps, want 0 (no interior start)", got)
+	if fast.Monetized != mm.Monetized {
+		t.Errorf("exact monetized %g, MaxMax %g", fast.Monetized, mm.Monetized)
+	}
+	for i := 0; i < l.Len(); i++ {
+		tok := l.Token(i)
+		if got, want := planInputFor(fast, tok), planInputFor(mm, tok); got != want {
+			t.Errorf("exact input[%s] = %g, MaxMax %g", tok, got, want)
+		}
 	}
 	ref, err := convexReference(l, prices)
 	if err != nil {
 		t.Fatalf("convexReference on near-degenerate loop: %v", err)
 	}
-	for _, c := range []struct {
-		path string
-		res  Result
-	}{{"structured", fast}, {"reference", ref}} {
-		if c.res.Strategy != NameConvex {
-			t.Errorf("%s fallback result strategy = %q", c.path, c.res.Strategy)
+	if ref.Strategy != NameConvex {
+		t.Errorf("reference fallback result strategy = %q", ref.Strategy)
+	}
+	if d := math.Abs(ref.Monetized - mm.Monetized); d > 1e-12*(1+math.Abs(mm.Monetized)) {
+		t.Errorf("reference fallback monetized %g, MaxMax %g", ref.Monetized, mm.Monetized)
+	}
+	if ref.Monetized < 0 {
+		t.Errorf("reference fallback monetized negative: %g", ref.Monetized)
+	}
+}
+
+// paperLoopExtended is the Section V loop with its closing hop Z→X
+// re-routed through n−3 stable tokens priced $1: a deep Z→W1 pool at the
+// CEX rate, deep W→W pools at par, and a shallow W→X pool carrying the
+// original closing hop's rate and depth. Like the Section V loop, its
+// optimum nets Y and Z, so the best rotation fails the certificate.
+func paperLoopExtended(t testing.TB, n int) (*Loop, PriceMap) {
+	t.Helper()
+	prices := PriceMap{"X": 2, "Y": 10.2, "Z": 20}
+	hops := []Hop{
+		{Pool: amm.MustNewPool("p1", "X", "Y", 100, 200, 0.003), TokenIn: "X"},
+		{Pool: amm.MustNewPool("p2", "Y", "Z", 300, 200, 0.003), TokenIn: "Y"},
+	}
+	prev := "Z"
+	for k := 1; k <= n-3; k++ {
+		w := fmt.Sprintf("W%d", k)
+		prices[w] = 1
+		rin, rout := 1e6, 1e6
+		if k == 1 {
+			rin, rout = 1e5, 2e6
 		}
-		if d := math.Abs(c.res.Monetized - mm.Monetized); d > 1e-12*(1+math.Abs(mm.Monetized)) {
-			t.Errorf("%s fallback monetized %g, MaxMax %g", c.path, c.res.Monetized, mm.Monetized)
+		hops = append(hops, Hop{Pool: amm.MustNewPool("p"+w, prev, w, rin, rout, 0.003), TokenIn: prev})
+		prev = w
+	}
+	hops = append(hops, Hop{Pool: amm.MustNewPool("pX", prev, "X", 4000, 400, 0.003), TokenIn: prev})
+	l, err := NewLoop(hops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, prices
+}
+
+// TestConvexEnumeratesWhenCertificateFails drives the face enumeration
+// at n = 4 and at n = 12, the longest loop any test solves: the solve
+// counts an enumeration, agrees with the dense reference, and serves the
+// optimum's two positive nets with every other token netting exactly 0.
+// Past maxFaceLen hops the failed certificate is an ErrLoopTooLong.
+func TestConvexEnumeratesWhenCertificateFails(t *testing.T) {
+	long, longPrices := paperLoopExtended(t, maxFaceLen+1)
+	enums := Telemetry().Enumerations.Load()
+	if _, err := Convex(long, longPrices); !errors.Is(err, ErrLoopTooLong) {
+		t.Errorf("n=%d: err = %v, want ErrLoopTooLong", maxFaceLen+1, err)
+	}
+	if got := Telemetry().Enumerations.Load() - enums; got != 1 {
+		t.Errorf("n=%d: Enumerations advanced by %d, want 1", maxFaceLen+1, got)
+	}
+
+	for _, n := range []int{4, 12} {
+		l, prices := paperLoopExtended(t, n)
+		tel := Telemetry()
+		solves, enums := tel.Solves.Load(), tel.Enumerations.Load()
+		cv := requireMatchesReference(t, fmt.Sprintf("n=%d", n), l, prices)
+		// Neither the reference nor MaxMax solves through Convex, so the
+		// one Convex call is the only solve counted.
+		if got := tel.Solves.Load() - solves; got != 1 {
+			t.Errorf("n=%d: Solves advanced by %d, want 1", n, got)
 		}
-		if c.res.Monetized < 0 {
-			t.Errorf("%s fallback monetized negative: %g", c.path, c.res.Monetized)
+		if got := tel.Enumerations.Load() - enums; got != 1 {
+			t.Errorf("n=%d: Enumerations advanced by %d, want 1 (certificate should fail)", n, got)
+		}
+		for tok, v := range cv.NetTokens {
+			switch tok {
+			case "Y", "Z":
+				if !(v > 0) {
+					t.Errorf("n=%d: net %s = %g, want > 0", n, tok, v)
+				}
+			default:
+				if v != 0 {
+					t.Errorf("n=%d: net %s = %g, want exactly 0", n, tok, v)
+				}
+			}
 		}
 	}
 }
 
-// TestConvexWarmMatchesCold: warm-starting from the previous optimum (or
-// any aligned previous result) yields the same optimum within solver
-// tolerance, and ColdStart ignores the hint bit-for-bit.
+// TestConvexWorkspaceReuseAcrossLengths: one workspace serves solves of
+// different loop lengths back to back, certified and enumerating alike,
+// with results bit-identical to a fresh workspace's.
+func TestConvexWorkspaceReuseAcrossLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	solve := func(w *convexWS, l *Loop, prices PriceMap) Result {
+		t.Helper()
+		if err := w.stage(l, prices); err != nil {
+			t.Fatal(err)
+		}
+		if !w.solve() {
+			t.Fatalf("%s: solve refused", l)
+		}
+		r, err := w.result(l, prices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	shared := new(convexWS)
+	for _, n := range []int{5, 2, 12, 3, 4} {
+		l, prices := randomProfitableLoop(t, rng, n)
+		requireSameResult(t, fmt.Sprintf("n=%d random", n), solve(shared, l, prices), solve(new(convexWS), l, prices))
+		if n >= 3 {
+			l, prices = paperLoopExtended(t, n)
+			requireSameResult(t, fmt.Sprintf("n=%d enumerating", n), solve(shared, l, prices), solve(new(convexWS), l, prices))
+		}
+	}
+}
+
+// TestConvexWarmMatchesCold: ConvexWarm returns Convex's result bit for
+// bit whatever it is handed — a previous block's optimum or nil — and so
+// does ConvexStrategy.OptimizeWarm with or without ColdStart.
 func TestConvexWarmMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for n := 2; n <= 5; n++ {
 		l, prices := randomProfitableLoop(t, rng, n)
-		cold, err := Convex(l, prices)
+		prev, err := Convex(l, prices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,39 +328,45 @@ func TestConvexWarmMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold2, err := Convex(moved, prices)
+		cold, err := Convex(moved, prices)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm2, err := ConvexWarm(moved, prices, &cold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scale := 1 + math.Abs(cold2.Monetized)
-		if d := math.Abs(warm2.Monetized - cold2.Monetized); d > 1e-6*scale {
-			t.Errorf("n=%d: warm %.12g vs cold %.12g", n, warm2.Monetized, cold2.Monetized)
-		}
-		// ColdStart pins bit-reproducibility against the cold solve.
-		pinned, err := ConvexStrategy{Options: ConvexOptions{ColdStart: true}}.OptimizeWarm(context.Background(), moved, prices, &cold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pinned.Monetized != cold2.Monetized {
-			t.Errorf("n=%d: ColdStart result differs from cold solve", n)
-		}
-		// A nil previous result is a plain cold solve.
-		nilPrev, err := ConvexWarm(moved, prices, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nilPrev.Monetized != cold2.Monetized {
-			t.Errorf("n=%d: nil-prev warm solve differs from cold solve", n)
+		for _, c := range []struct {
+			name  string
+			solve func() (Result, error)
+		}{
+			{"ConvexWarm", func() (Result, error) { return ConvexWarm(moved, prices, &prev) }},
+			{"ConvexWarm(nil)", func() (Result, error) { return ConvexWarm(moved, prices, nil) }},
+			{"OptimizeWarm", func() (Result, error) {
+				return ConvexStrategy{}.OptimizeWarm(context.Background(), moved, prices, &prev)
+			}},
+			{"OptimizeWarm(ColdStart)", func() (Result, error) {
+				return ConvexStrategy{Options: ConvexOptions{ColdStart: true}}.OptimizeWarm(context.Background(), moved, prices, &prev)
+			}},
+		} {
+			got, err := c.solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("n=%d %s", n, c.name), got, cold)
 		}
 	}
 }
 
+// requireSameResult asserts got is want bit for bit.
+func requireSameResult(t *testing.T, name string, got, want Result) {
+	t.Helper()
+	if got.Strategy != want.Strategy || got.Loop != want.Loop || got.StartToken != want.StartToken ||
+		got.Input != want.Input || got.Monetized != want.Monetized ||
+		!slices.Equal(got.Plan.Inputs, want.Plan.Inputs) || !slices.Equal(got.Plan.Outputs, want.Plan.Outputs) ||
+		!maps.Equal(got.NetTokens, want.NetTokens) {
+		t.Errorf("%s: results differ:\ngot  %+v\nwant %+v", name, got, want)
+	}
+}
+
 // TestConvexWarmMisalignedPrev: a previous result from an unrelated loop
-// (wrong tokens, wrong length) must be ignored, not crash or corrupt.
+// (wrong tokens, wrong length) or a zero plan changes nothing.
 func TestConvexWarmMisalignedPrev(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l, prices := randomProfitableLoop(t, rng, 3)
@@ -255,19 +383,13 @@ func TestConvexWarmMisalignedPrev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := math.Abs(warm.Monetized - cold.Monetized); d > 1e-9*(1+math.Abs(cold.Monetized)) {
-		t.Errorf("misaligned prev changed the optimum: %g vs %g", warm.Monetized, cold.Monetized)
-	}
-	// A zero-plan previous result (loop was unprofitable last block) is
-	// unusable as an interior start and must fall back cleanly.
+	requireSameResult(t, "misaligned prev", warm, cold)
 	zero := Result{Loop: l, Plan: TradePlan{Inputs: make([]float64, 3), Outputs: make([]float64, 3)}}
 	warmZero, err := ConvexWarm(l, prices, &zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := math.Abs(warmZero.Monetized - cold.Monetized); d > 1e-9*(1+math.Abs(cold.Monetized)) {
-		t.Errorf("zero prev changed the optimum: %g vs %g", warmZero.Monetized, cold.Monetized)
-	}
+	requireSameResult(t, "zero prev", warmZero, cold)
 }
 
 // TestConvexStrategyImplementsWarmStarter pins the delta-path contract.
@@ -287,16 +409,14 @@ func TestConvexStrategyImplementsWarmStarter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := math.Abs(warm.Monetized - prev.Monetized); d > 1e-6*(1+math.Abs(prev.Monetized)) {
-		t.Errorf("OptimizeWarm diverged: %g vs %g", warm.Monetized, prev.Monetized)
-	}
+	requireSameResult(t, "OptimizeWarm", warm, prev)
 }
 
-// TestConvexStructuredAllocBudget pins the fast path's per-solve
-// allocation budget: the solver itself is allocation-free after warm-up,
-// so a solve pays only for the result it returns (plan slices + net
-// map). The dense reference churns hundreds of allocations per solve; the
-// pin is what keeps the fast path from regressing toward it.
+// TestConvexStructuredAllocBudget pins the per-solve allocation budget:
+// the solve itself is allocation-free after warm-up (TestConvexSolveAllocFree),
+// so Convex pays only for the result it returns (plan slices + net map). The dense reference
+// churns hundreds of allocations per solve; the pin is what keeps the
+// exact solve from regressing toward it.
 func TestConvexStructuredAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l, prices := randomProfitableLoop(t, rng, 4)
@@ -308,14 +428,13 @@ func TestConvexStructuredAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// ~8 in a plain run (plan slices + net map + result bookkeeping);
-	// the headroom covers the race detector, under which sync.Pool
-	// deliberately drops items and the workspace reallocates.
+	// ~4 in a plain run (plan slices + net map); the headroom covers the
+	// race detector, under which sync.Pool deliberately drops items and
+	// the workspace reallocates.
 	const budget = 24
 	if allocs > budget {
-		t.Errorf("structured Convex allocates %.1f/solve, budget %d", allocs, budget)
+		t.Errorf("Convex allocates %.1f/solve, budget %d", allocs, budget)
 	}
-	// Warm-started solves stay inside the same budget.
 	prev, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
@@ -326,6 +445,49 @@ func TestConvexStructuredAllocBudget(t *testing.T) {
 		}
 	})
 	if allocs > budget {
-		t.Errorf("warm-started Convex allocates %.1f/solve, budget %d", allocs, budget)
+		t.Errorf("ConvexWarm allocates %.1f/solve, budget %d", allocs, budget)
+	}
+}
+
+// TestConvexSolveAllocFree pins the exact solve's allocation budget: the
+// solve itself, certificate and face enumeration alike, touches the
+// allocator zero times once its workspace is sized.
+func TestConvexSolveAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	l, prices := randomProfitableLoop(t, rng, 4)
+	el, eprices := paperLoopExtended(t, 12)
+	for _, c := range []struct {
+		name       string
+		l          *Loop
+		prices     PriceMap
+		enumerates bool
+	}{
+		{"certified", l, prices, false},
+		{"enumerating", el, eprices, true},
+	} {
+		w := new(convexWS)
+		if err := w.stage(c.l, c.prices); err != nil {
+			t.Fatal(err)
+		}
+		enums := Telemetry().Enumerations.Load()
+		w.solve()
+		if got := Telemetry().Enumerations.Load() > enums; got != c.enumerates {
+			t.Fatalf("%s fixture: enumerated %v, want %v", c.name, got, c.enumerates)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { w.solve() }); allocs != 0 {
+			t.Errorf("%s solve allocates %.1f, want 0", c.name, allocs)
+		}
+	}
+}
+
+// BenchmarkConvexEnumerateLen12 times Convex on the length-12 loop whose
+// best rotation fails the certificate: the face enumeration at the
+// longest loop any test uses, the worst case Convex's doc states.
+func BenchmarkConvexEnumerateLen12(b *testing.B) {
+	l, prices := paperLoopExtended(b, 12)
+	for b.Loop() {
+		if _, err := Convex(l, prices); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

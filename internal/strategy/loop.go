@@ -11,7 +11,8 @@
 //     monetized profit (paper eq. (6)).
 //   - ConvexOptimization: paper problem (8) — relax flow conservation to
 //     inequalities and maximize Σ_t P_t·(net t) over all per-hop inputs at
-//     once, solved with the log-barrier method (package convexopt).
+//     once, solved exactly: the best rotation when a KKT certificate
+//     accepts it, the best closed-form face otherwise (see Convex).
 package strategy
 
 import (
@@ -32,6 +33,7 @@ var (
 	ErrUnknownStart  = errors.New("strategy: start token not in loop")
 	ErrMissingPrice  = errors.New("strategy: missing CEX price")
 	ErrNegativePrice = errors.New("strategy: CEX price must be non-negative")
+	ErrLoopTooLong   = errors.New("strategy: loop too long")
 )
 
 // Hop is one swap: the input token enters Pool and the pool's other token

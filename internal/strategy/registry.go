@@ -87,12 +87,13 @@ type WarmStarter interface {
 	OptimizeWarm(ctx context.Context, l *Loop, prices PriceMap, prev *Result) (Result, error)
 }
 
-// ConvexStrategy solves the paper's problem (8) with the log-barrier
-// interior-point method on the structured O(n) fast path (see Convex);
-// provably ≥ MaxMax. It also implements WarmStarter, so delta scans
-// re-optimize dirty loops from the previous block's optimum.
+// ConvexStrategy solves the paper's problem (8) exactly (see Convex):
+// the best rotation when a KKT certificate accepts it, the best
+// closed-form face otherwise; never below MaxMax. It implements
+// WarmStarter, but the previous result is ignored, so delta scans match
+// full scans bit for bit.
 type ConvexStrategy struct {
-	// Options selects the warm-start policy; the zero value warm-starts.
+	// Options has no effect on the solve (see ConvexOptions).
 	Options ConvexOptions
 }
 
@@ -107,18 +108,10 @@ func (s ConvexStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) 
 	return Convex(l, prices)
 }
 
-// OptimizeWarm implements WarmStarter: the barrier solve starts from the
-// previous plan re-feasibilized by shrinking, falling back to the MaxMax
-// warm start when the shifted point is infeasible. Options.ColdStart
-// disables the warm start (bit-reproducible scans).
+// OptimizeWarm implements WarmStarter. It returns Optimize's result bit
+// for bit; prev is ignored.
 func (s ConvexStrategy) OptimizeWarm(ctx context.Context, l *Loop, prices PriceMap, prev *Result) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if s.Options.ColdStart {
-		return Convex(l, prices)
-	}
-	return ConvexWarm(l, prices, prev)
+	return s.Optimize(ctx, l, prices)
 }
 
 // ConvexRiskyStrategy solves the shorting-allowed relaxation the paper

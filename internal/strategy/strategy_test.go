@@ -439,8 +439,8 @@ func TestConvexDominanceProperty(t *testing.T) {
 	}
 }
 
-// Property: the convex plan never shorts a token (all net amounts ≥ −ε)
-// and the flow constraints hold.
+// Property: the convex plan never shorts a token (every net amount ≥ 0
+// exactly) and the flow constraints hold exactly.
 func TestConvexPlanFeasibilityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -451,14 +451,14 @@ func TestConvexPlanFeasibilityProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for tok, v := range cv.NetTokens {
-			if v < -1e-6 {
+			if !(v >= 0) {
 				t.Errorf("trial %d: net %s = %g (shorting)", trial, tok, v)
 			}
 		}
 		n := l.Len()
 		for i := 0; i < n; i++ {
-			if cv.Plan.Inputs[(i+1)%n] > cv.Plan.Outputs[i]+1e-6 {
-				t.Errorf("trial %d: hop %d consumes more than produced", trial, i)
+			if next := (i + 1) % n; cv.Plan.Inputs[next] > cv.Plan.Outputs[i] {
+				t.Errorf("trial %d: hop %d consumes %g, hop %d produced %g", trial, next, cv.Plan.Inputs[next], i, cv.Plan.Outputs[i])
 			}
 		}
 	}
@@ -681,7 +681,7 @@ func TestTwoPoolLoopStrategies(t *testing.T) {
 	}
 }
 
-// TestConvexOnLongLoops exercises the barrier solver at the paper's
+// TestConvexOnLongLoops exercises the convex solve at the paper's
 // length-10 discussion point and beyond.
 func TestConvexOnLongLoops(t *testing.T) {
 	for _, n := range []int{8, 10, 12} {

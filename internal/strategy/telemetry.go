@@ -3,12 +3,11 @@ package strategy
 import "arbloop/internal/telemetry"
 
 // ConvexTelemetry counts how the convex solves across the process
-// resolved: solver iteration totals (from convexopt's Result), the
-// warm-start hit rate of the delta path's cross-block starts, and how
-// often the always-feasible MaxMax plan was served instead of a barrier
-// optimum. The counters are package-global — strategies are stateless
-// values constructed ad hoc per scan, so per-instance metrics would
-// fragment the picture; one process runs one solver workload.
+// resolved: how many ran, and how many fell through the KKT certificate
+// to the face enumeration. The counters are package-global — strategies
+// are stateless values constructed ad hoc per scan, so per-instance
+// metrics would fragment the picture; one process runs one solver
+// workload.
 //
 // Every update is one wait-free atomic add on the per-loop solve path —
 // nothing here allocates or takes a lock.
@@ -16,18 +15,19 @@ type ConvexTelemetry struct {
 	// Solves counts convex solves attempted (profitable loops only; the
 	// §IV zero-plan short-circuit doesn't reach the solver).
 	Solves telemetry.Counter
-	// WarmHits and WarmMisses split solves that were handed a previous
-	// result: hit when the previous plan re-feasibilized as the barrier
-	// start, miss when it couldn't (reserves moved too far, orientation
-	// flipped) and the solve fell back to the MaxMax start.
+	// Enumerations counts solves whose KKT certificate rejected the best
+	// rotation. Each enumerates every face, unless the loop is too long
+	// and the solve fails with ErrLoopTooLong.
+	Enumerations telemetry.Counter
+	// WarmHits and WarmMisses no longer advance: the exact solve takes no
+	// warm start. They stay registered for readers of the metric.
 	WarmHits, WarmMisses telemetry.Counter
-	// Fallbacks counts solves whose final answer was the MaxMax plan —
-	// no interior point, a failed solve, or a barrier result below the
-	// single-rotation optimum.
+	// Fallbacks no longer advances: the exact solve never substitutes
+	// the MaxMax plan. It stays registered for readers of the metric.
 	Fallbacks telemetry.Counter
-	// NewtonIters and OuterIters accumulate the barrier solver's step
-	// counts across successful solves; divide by Solves−Fallbacks for
-	// the per-solve averages.
+	// NewtonIters and OuterIters no longer advance: the exact solve runs
+	// no barrier iterations. They stay registered for readers of the
+	// metrics.
 	NewtonIters, OuterIters telemetry.Counter
 }
 
@@ -40,9 +40,10 @@ func Telemetry() *ConvexTelemetry { return &convexTelemetry }
 // families.
 func (t *ConvexTelemetry) Register(reg *telemetry.Registry) {
 	reg.Counter("arbloop_convex_solves_total", "", "convex solves attempted on profitable loops", &t.Solves)
-	reg.Counter("arbloop_convex_warm_starts_total", `outcome="hit"`, "cross-block warm starts: previous plan re-feasibilized vs not", &t.WarmHits)
-	reg.Counter("arbloop_convex_warm_starts_total", `outcome="miss"`, "cross-block warm starts: previous plan re-feasibilized vs not", &t.WarmMisses)
-	reg.Counter("arbloop_convex_fallbacks_total", "", "solves answered with the MaxMax plan instead of a barrier optimum", &t.Fallbacks)
-	reg.Counter("arbloop_convex_newton_iters_total", "", "cumulative Newton steps across successful barrier solves", &t.NewtonIters)
-	reg.Counter("arbloop_convex_outer_iters_total", "", "cumulative barrier (outer) steps across successful solves", &t.OuterIters)
+	reg.Counter("arbloop_convex_enumerations_total", "", "convex solves whose KKT certificate failed, so every face was enumerated", &t.Enumerations)
+	reg.Counter("arbloop_convex_warm_starts_total", `outcome="hit"`, "cross-block warm starts (no longer advances)", &t.WarmHits)
+	reg.Counter("arbloop_convex_warm_starts_total", `outcome="miss"`, "cross-block warm starts (no longer advances)", &t.WarmMisses)
+	reg.Counter("arbloop_convex_fallbacks_total", "", "solves answered with the MaxMax plan instead of a barrier optimum (no longer advances)", &t.Fallbacks)
+	reg.Counter("arbloop_convex_newton_iters_total", "", "cumulative Newton steps across barrier solves (no longer advances)", &t.NewtonIters)
+	reg.Counter("arbloop_convex_outer_iters_total", "", "cumulative barrier (outer) steps across solves (no longer advances)", &t.OuterIters)
 }

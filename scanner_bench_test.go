@@ -23,6 +23,7 @@ import (
 	"arbloop"
 	"arbloop/internal/convexopt"
 	"arbloop/internal/distrib"
+	"arbloop/internal/experiments"
 	"arbloop/internal/server"
 )
 
@@ -565,10 +566,10 @@ func benchShardedDelta(t *testing.T) []shardedBenchRow {
 // convexSolverBenchRow records per-loop ConvexOptimization solve
 // throughput for one solver configuration on the §VI market's detected
 // loops (single goroutine — the per-core number parallelism multiplies):
-// the dense reference barrier solver (convexopt.Minimize on the problem
-// and start the fast path stages), the structured O(n) fast path
-// (strategy.Convex), and the structured path warm-started from each
-// loop's own previous optimum (the steady-state delta-scan case).
+// the barrier method (convexopt.Minimize on the problem and start
+// experiments.StageBarrier stages), the strategy's exact solve
+// (strategy.Convex), and the exact solve through ConvexWarm with each
+// loop's own previous optimum (the delta-scan entry point).
 type convexSolverBenchRow struct {
 	LoopLen          int     `json:"loop_len"`
 	Solver           string  `json:"solver"`
@@ -645,8 +646,8 @@ func benchConvexSolver(t *testing.T) []convexSolverBenchRow {
 		}
 
 		structured := solve(nil)
-		// Warm starts replay each loop's own optimum — the reserves-barely-
-		// moved steady state a delta scan re-optimizes under.
+		// ConvexWarm gets each loop's own optimum, as a delta scan hands
+		// it the previous block's; the exact solve ignores it.
 		prev := make([]arbloop.Result, len(loops))
 		for li, l := range loops {
 			r, err := arbloop.Convex(l, prices)
@@ -667,41 +668,44 @@ func benchConvexSolver(t *testing.T) []convexSolverBenchRow {
 				row.LoopLen, row.Solver, row.LoopsPerSec, row.SpeedupVsGeneric)
 			out = append(out, row)
 		}
-		t.Logf("convex solver len %d SolveLoop vs Minimize: %.2fx (median of interleaved passes)", cfg.loopLen, ratio)
-		// Engagement guard: on identical staged problems and starts the
-		// structured solver must stay well clear of the dense reference;
-		// a fast path that stopped engaging would close the gap. The 3.5×
-		// bar leaves margin for host noise below the 3.7–4.8× (median
-		// 3.8×) measured at length 3 over ten runs on a 2-CPU Xeon host.
+		t.Logf("convex solver len %d exact solve vs Minimize: %.2fx (median of interleaved passes)", cfg.loopLen, ratio)
+		// Engagement guard: on the same loops and staged problems the
+		// exact solve must stay well clear of the barrier method; a solve
+		// that fell back to iterating would close the gap.
 		if cfg.loopLen == 3 && ratio < 3.5 {
-			t.Errorf("len-3 SolveLoop only %.2fx Minimize (median of interleaved passes), want ≥ 3.5x", ratio)
+			t.Errorf("len-3 exact solve only %.2fx Minimize (median of interleaved passes), want ≥ 3.5x", ratio)
 		}
 	}
 	return out
 }
 
-// convexSolverPasses is how many interleaved SolveLoop/Minimize pass
-// pairs benchConvexSolvers times; the median damps single-pass noise.
+// convexSolverPasses is how many interleaved exact/Minimize pass pairs
+// benchConvexSolvers times; the median damps single-pass noise.
 const convexSolverPasses = 9
 
-// benchConvexSolvers times the two barrier solvers like for like: each
-// loop's problem and interior start are staged once (stageConvex), then
-// convexopt.SolveLoop and convexopt.Minimize solve them in interleaved
-// passes of runs repetitions each, so host noise hits both alike. It
-// returns Minimize's median throughput (loops/s) and the median per-pass
-// SolveLoop/Minimize speed ratio. Loops without an interior start are
-// skipped: the strategy never solves them.
+// benchConvexSolvers times the exact solve against the barrier method:
+// each loop's problem and interior start are staged once
+// (experiments.StageBarrier), then strategy.Convex solves each loop and
+// convexopt.Minimize each staged problem in interleaved passes of runs
+// repetitions each, so host noise hits both alike. It returns Minimize's
+// median throughput (loops/s) and the median per-pass exact/Minimize
+// speed ratio. Loops without an interior start are skipped: the barrier
+// method cannot start on them.
 func benchConvexSolvers(t *testing.T, loops []*arbloop.Loop, prices arbloop.PriceMap, runs int) (denseLoopsPerSec, ratio float64) {
 	t.Helper()
 	type staged struct {
-		p     *convexopt.LoopProblem
+		loop  *arbloop.Loop
 		dense convexopt.Problem
 		x0    []float64
 	}
 	var probs []staged
 	for _, l := range loops {
-		if p, x0, ok := stageConvex(t, l, prices); ok {
-			probs = append(probs, staged{p: p, dense: p.Generic(), x0: x0})
+		p, x0, err := experiments.StageBarrier(l, prices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x0 != nil {
+			probs = append(probs, staged{loop: l, dense: p.Generic(), x0: x0})
 		}
 	}
 	if len(probs) == 0 {
@@ -710,18 +714,16 @@ func benchConvexSolvers(t *testing.T, loops []*arbloop.Loop, prices arbloop.Pric
 	if skipped := len(loops) - len(probs); skipped > 0 {
 		t.Logf("%d of %d loops have no interior start; the solver rows skip them", skipped, len(loops))
 	}
-	var ws convexopt.LoopWorkspace
-	// pass solves every staged problem runs times and returns the
-	// elapsed time; solver errors are fallbacks in the strategy, so they
-	// count as solves here too.
+	// pass solves every staged loop runs times and returns the elapsed
+	// time; barrier errors count as solves too.
 	pass := func(dense bool) time.Duration {
 		start := time.Now()
 		for r := 0; r < runs; r++ {
 			for _, s := range probs {
 				if dense {
-					_, _ = convexopt.Minimize(s.dense, s.x0, convexBenchSolverOptions)
-				} else {
-					_, _ = convexopt.SolveLoop(s.p, s.x0, convexBenchSolverOptions, &ws)
+					_, _ = convexopt.Minimize(s.dense, s.x0, experiments.BarrierOptions)
+				} else if _, err := arbloop.Convex(s.loop, prices); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
