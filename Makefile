@@ -45,9 +45,10 @@ bench-shard:
 	$(GO) test -bench 'BenchmarkScanShardedDelta' -benchtime 20x -benchmem -run '^$$' .
 
 # Report-serving smoke: the distribution tier's cached read paths
-# (plain / gzip / 304 / ?top=N) plus the per-block frame build, at the
-# handler layer. Tiny run counts keep it CI-cheap; its job is to prove
-# the encode-once frame cache stays engaged on every read.
+# (plain / gzip / 304 / ?top=N) plus the per-block frame build at 200
+# results and at serve's 20, at the handler layer. Tiny run counts keep
+# it CI-cheap; its job is to prove the encode-once frame cache stays
+# engaged on every read.
 bench-server:
 	$(GO) test -bench 'BenchmarkServer' -benchtime 100x -benchmem -run '^$$' ./internal/server
 

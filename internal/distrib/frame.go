@@ -1,9 +1,11 @@
 // Package distrib is the report-distribution tier: everything between
-// the scan loop and a client-facing byte. At publish time it commits one
-// immutable Frame per block — the report encoded exactly once into every
-// representation the HTTP layer serves (raw JSON, pre-gzipped JSON,
-// pre-framed SSE event bytes, top-K prefix slices, strong ETags) — and
-// swaps it behind an atomic pointer. Steady-state reads are a pointer
+// the scan loop and a client-facing byte. At publish time Store.Set
+// commits one immutable Frame per block — the report encoded exactly once
+// into every representation the HTTP layer serves (raw JSON, pre-gzipped
+// JSON, pre-framed SSE event bytes, top-K prefix slices, strong ETags) —
+// and swaps it behind an atomic pointer. Set reuses one gzip compressor
+// and its scratch buffers across blocks, so a publish allocates the
+// frame's own bytes and little else. Steady-state reads are a pointer
 // load, a header compare, and a buffer write: no JSON marshaling, no
 // compression, no per-client formatting, which is what lets one process
 // hold the paper's block-interval budget while serving millions of
@@ -18,17 +20,9 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
-
-// marshalAppend appends v's compact JSON encoding to dst.
-func marshalAppend(dst []byte, v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
-}
 
 // frameTail closes a prefix-sliced report body: every `?top=N` response
 // is Raw[:ends[N-1]] followed by these two bytes. Results being the last
@@ -36,13 +30,14 @@ func marshalAppend(dst []byte, v any) ([]byte, error) {
 var frameTail = []byte("]}")
 
 // Frame is one block's report committed to every wire representation at
-// once. Frames are immutable after Build: handlers share slices of the
-// same backing arrays across unbounded concurrent readers.
+// once. Frames are immutable once Store.Set returns them: handlers share
+// slices of the same backing arrays across unbounded concurrent readers.
 type Frame struct {
 	// Report is the decoded view (healthz, logging, embedders).
 	Report ReportJSON
 	// Raw is the full report as compact JSON, byte-identical to
-	// json.Marshal(Report).
+	// json.Marshal(Report). It is the data line inside SSE, capped at its
+	// own length.
 	Raw []byte
 	// Gzip is Raw compressed once at build time; served verbatim to
 	// clients that accept gzip.
@@ -63,61 +58,6 @@ type Frame struct {
 	// etags[i] validates the top=(i+1) representation.
 	ends  []int
 	etags []string
-}
-
-// BuildFrame encodes a report into an immutable frame. The one marshal
-// (and one gzip pass) per block happens here and nowhere else.
-func BuildFrame(r ReportJSON) (*Frame, error) {
-	f := &Frame{Report: r, EventID: strconv.FormatUint(r.Version, 10)}
-	f.ETag = fmt.Sprintf("\"v%d-h%d\"", r.Version, r.Height)
-
-	// Marshal the head (every field before Results) once, then append
-	// each result element and record its boundary. Element-wise marshal
-	// concatenated inside the head's `"results":[` is byte-identical to
-	// marshaling the whole struct, so Raw needs no second full pass and
-	// the recorded offsets are exact.
-	head := r
-	head.Results = []ResultJSON{}
-	buf, err := marshalAppend(nil, head)
-	if err != nil {
-		return nil, fmt.Errorf("distrib: encode report: %w", err)
-	}
-	buf = buf[:len(buf)-len(frameTail)] // strip `]}`: buf now ends at `[`
-	f.ends = make([]int, len(r.Results))
-	f.etags = make([]string, len(r.Results))
-	for i, res := range r.Results {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		if buf, err = marshalAppend(buf, res); err != nil {
-			return nil, fmt.Errorf("distrib: encode result %d: %w", i, err)
-		}
-		f.ends[i] = len(buf)
-		f.etags[i] = fmt.Sprintf("\"v%d-h%d-t%d\"", r.Version, r.Height, i+1)
-	}
-	f.Raw = append(buf, frameTail...)
-
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	if _, err := zw.Write(f.Raw); err != nil {
-		return nil, fmt.Errorf("distrib: gzip report: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("distrib: gzip report: %w", err)
-	}
-	f.Gzip = gz.Bytes()
-
-	var sse bytes.Buffer
-	sse.Grow(len(f.Raw) + len(f.EventID) + 32)
-	sse.WriteString("id: ")
-	sse.WriteString(f.EventID)
-	// Raw is compact JSON (no newlines), so a single data: line carries
-	// the whole report.
-	sse.WriteString("\nevent: report\ndata: ")
-	sse.Write(f.Raw)
-	sse.WriteString("\n\n")
-	f.SSE = sse.Bytes()
-	return f, nil
 }
 
 // Results returns how many ranked results the frame carries.
@@ -179,27 +119,113 @@ func ETagMatches(header, etag string) bool {
 	return false
 }
 
-// Store holds the latest frame behind an atomic pointer. Writes (one per
-// block) build every representation once; reads are a single atomic
-// load, safe for unbounded concurrency.
+// Store holds the latest frame behind an atomic pointer. Set builds each
+// block's frame once; reads are a single atomic load, safe for unbounded
+// concurrency. The zero value is ready.
 type Store struct {
 	v atomic.Pointer[Frame]
+
+	// mu serializes Set, which reuses one compressor and the scratch
+	// buffers below for every block; a fresh gzip.NewWriter would
+	// allocate ~800 kB of flate state per block.
+	mu   sync.Mutex
+	zw   *gzip.Writer  // writes into gz
+	enc  *json.Encoder // writes into sse
+	sse  bytes.Buffer  // the SSE event being encoded
+	gz   bytes.Buffer  // the gzip stream being written
+	tags []byte        // the frame's ETags, back to back
 }
 
-// Set builds a frame from the report and publishes it, replacing the
-// previous one.
-func (s *Store) Set(r ReportJSON) error {
-	f, err := BuildFrame(r)
-	if err != nil {
-		return err
+// Set encodes r into a new frame, publishes it in place of the previous
+// one, and returns it. The one marshal and one gzip pass per block
+// happen here and nowhere else. The compressor is Reset rather than
+// rebuilt, which keeps the default level and makes Gzip byte-identical
+// to a fresh gzip.NewWriter's output.
+func (s *Store) Set(r ReportJSON) (*Frame, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.enc == nil {
+		s.enc = json.NewEncoder(&s.sse)
+		s.zw = gzip.NewWriter(&s.gz)
 	}
-	s.v.Store(f)
-	return nil
-}
+	f := &Frame{Report: r, ends: make([]int, len(r.Results)), etags: make([]string, len(r.Results))}
 
-// SetFrame publishes a pre-built frame (embedders that need the frame
-// and the swap without building twice).
-func (s *Store) SetFrame(f *Frame) { s.v.Store(f) }
+	// The full ETag `"v<version>-h<height>"` and the `"v…-h…-t<n>"` tag of
+	// each top-n prefix are appended into one string that every tag
+	// slices; the event id is the version digits inside it.
+	t := append(s.tags[:0], `"v`...)
+	t = strconv.AppendUint(t, r.Version, 10)
+	idEnd := len(t)
+	t = append(t, "-h"...)
+	t = strconv.AppendInt(t, r.Height, 10)
+	stem := len(t)
+	t = append(t, '"')
+	for i := range r.Results {
+		t = append(t, t[:stem]...)
+		t = append(t, "-t"...)
+		t = strconv.AppendInt(t, int64(i+1), 10)
+		t = append(t, '"')
+	}
+	s.tags = t
+	tags := string(t)
+	f.ETag, f.EventID = tags[:stem+1], tags[2:idEnd]
+	rest := tags[stem+1:]
+	for i := range f.etags {
+		// Each tag runs from its opening quote through the next quote.
+		n := strings.IndexByte(rest[1:], '"') + 2
+		f.etags[i], rest = rest[:n], rest[n:]
+	}
+
+	// The report is encoded as the data line of the SSE event (Raw is
+	// compact JSON, so one line carries it), and the finished event is
+	// copied once into the frame. Encode the head (every field before
+	// Results) once, then append each result and record its boundary.
+	// Element-wise encoding concatenated inside the head's `"results":[`
+	// is byte-identical to marshaling the whole struct (an Encoder
+	// escapes HTML as json.Marshal does), so the recorded offsets are
+	// exact.
+	s.sse.Reset()
+	s.sse.WriteString("id: ")
+	s.sse.WriteString(f.EventID)
+	s.sse.WriteString("\nevent: report\ndata: ")
+	start := s.sse.Len()
+	head := r
+	head.Results = []ResultJSON{}
+	if err := s.enc.Encode(&head); err != nil {
+		return nil, fmt.Errorf("distrib: encode report: %w", err)
+	}
+	// Encode ends each value with '\n'. Strip it and the head's `]}`, so
+	// the buffer ends at `[`.
+	s.sse.Truncate(s.sse.Len() - len(frameTail) - 1)
+	for i := range r.Results {
+		if i > 0 {
+			s.sse.WriteByte(',')
+		}
+		if err := s.enc.Encode(&r.Results[i]); err != nil {
+			return nil, fmt.Errorf("distrib: encode result %d: %w", i, err)
+		}
+		s.sse.Truncate(s.sse.Len() - 1)
+		f.ends[i] = s.sse.Len() - start
+	}
+	s.sse.Write(frameTail)
+	end := s.sse.Len()
+	s.sse.WriteString("\n\n")
+	f.SSE = bytes.Clone(s.sse.Bytes())
+	f.Raw = f.SSE[start:end:end]
+
+	s.gz.Reset()
+	s.zw.Reset(&s.gz)
+	if _, err := s.zw.Write(f.Raw); err != nil {
+		return nil, fmt.Errorf("distrib: gzip report: %w", err)
+	}
+	if err := s.zw.Close(); err != nil {
+		return nil, fmt.Errorf("distrib: gzip report: %w", err)
+	}
+	f.Gzip = bytes.Clone(s.gz.Bytes())
+
+	s.v.Store(f)
+	return f, nil
+}
 
 // Frame returns the current frame, or nil before the first Set.
 // Per-request read path: one atomic load, no allocation (checked by
@@ -208,17 +234,4 @@ func (s *Store) SetFrame(f *Frame) { s.v.Store(f) }
 //arblint:hotpath
 func (s *Store) Frame() *Frame {
 	return s.v.Load()
-}
-
-// Latest returns the current encoded report, or ok=false before the
-// first Set. (Compatibility view over Frame.) Per-request read path;
-// allocation-free (checked by arblint's hotpath analyzer).
-//
-//arblint:hotpath
-func (s *Store) Latest() (body []byte, report ReportJSON, ok bool) {
-	f := s.v.Load()
-	if f == nil {
-		return nil, ReportJSON{}, false
-	}
-	return f.Raw, f.Report, true
 }

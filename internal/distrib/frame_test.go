@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -52,7 +55,7 @@ func TestFrameRawMatchesMarshal(t *testing.T) {
 		if r.Results == nil {
 			r.Results = []ResultJSON{} // Encode never produces nil
 		}
-		f, err := BuildFrame(r)
+		f, err := new(Store).Set(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +70,7 @@ func TestFrameRawMatchesMarshal(t *testing.T) {
 
 	// nil Results normalizes to the empty array: the wire always carries
 	// `"results":[]`, never null.
-	f, err := BuildFrame(testReport(3, 17, 0))
+	f, err := new(Store).Set(testReport(3, 17, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func TestFrameRawMatchesMarshal(t *testing.T) {
 
 func TestFrameTopPrefixEquivalence(t *testing.T) {
 	r := testReport(9, 123, 6)
-	f, err := BuildFrame(r)
+	f, err := new(Store).Set(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,7 @@ func TestFrameTopPrefixEquivalence(t *testing.T) {
 
 func TestFrameTopClamps(t *testing.T) {
 	r := testReport(1, 2, 3)
-	f, err := BuildFrame(r)
+	f, err := new(Store).Set(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestFrameTopClamps(t *testing.T) {
 }
 
 func TestFrameGzipRoundTrip(t *testing.T) {
-	f, err := BuildFrame(testReport(4, 44, 4))
+	f, err := new(Store).Set(testReport(4, 44, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestFrameGzipRoundTrip(t *testing.T) {
 }
 
 func TestFrameSSEFraming(t *testing.T) {
-	f, err := BuildFrame(testReport(7, 70, 2))
+	f, err := new(Store).Set(testReport(7, 70, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,18 +170,19 @@ func TestFrameSSEFraming(t *testing.T) {
 }
 
 func TestFrameETags(t *testing.T) {
-	a, err := BuildFrame(testReport(1, 10, 2))
+	var st Store
+	a, err := st.Set(testReport(1, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildFrame(testReport(2, 11, 2))
+	b, err := st.Set(testReport(2, 11, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.ETag == b.ETag {
 		t.Error("different (version, height) frames share an ETag")
 	}
-	a2, err := BuildFrame(testReport(1, 10, 2))
+	a2, err := st.Set(testReport(1, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,29 +229,155 @@ func TestStoreSwap(t *testing.T) {
 	if f := st.Frame(); f != nil {
 		t.Error("empty store returned a frame")
 	}
-	if _, _, ok := st.Latest(); ok {
-		t.Error("empty store reported a report")
-	}
-	if err := st.Set(testReport(1, 10, 2)); err != nil {
+	f1, err := st.Set(testReport(1, 10, 2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	body, rep, ok := st.Latest()
-	if !ok || rep.Version != 1 {
-		t.Fatalf("Latest = %v v%d", ok, rep.Version)
+	if got := st.Frame(); got != f1 || got.Report.Version != 1 {
+		t.Fatalf("Set did not publish its frame: got %p, want %p", got, f1)
 	}
 	var decoded ReportJSON
-	if err := json.Unmarshal(body, &decoded); err != nil {
+	if err := json.Unmarshal(f1.Raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if decoded.Version != 1 || decoded.Height != 10 {
 		t.Errorf("decoded = %+v", decoded)
 	}
-	f2, err := BuildFrame(testReport(2, 11, 1))
+	f2, err := st.Set(testReport(2, 11, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFrame(f2)
 	if got := st.Frame(); got != f2 {
-		t.Error("SetFrame did not swap the frame")
+		t.Error("Set did not swap the frame")
 	}
+}
+
+// gzipFresh compresses raw with a new writer at the default level: the
+// bytes a frame's Gzip must equal although Store.Set recycles its writer.
+func gzipFresh(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	zw := gzip.NewWriter(&b)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// checkWire asserts every representation of f against r, encoded from
+// scratch: the marshal, a fresh compressor, the SSE framing and the
+// fmt-built ETags.
+func checkWire(t *testing.T, f *Frame, r ReportJSON) {
+	t.Helper()
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(r.Results)
+	if !bytes.Equal(f.Raw, raw) {
+		t.Errorf("n=%d: Raw differs from json.Marshal", n)
+	}
+	if cap(f.Raw) != len(f.Raw) {
+		t.Errorf("n=%d: cap(Raw) = %d, len %d: an append could write into SSE", n, cap(f.Raw), len(f.Raw))
+	}
+	if !bytes.Equal(f.Gzip, gzipFresh(t, raw)) {
+		t.Errorf("n=%d: Gzip differs from a fresh gzip.NewWriter's output", n)
+	}
+	if want := fmt.Sprintf("id: %d\nevent: report\ndata: %s\n\n", r.Version, raw); string(f.SSE) != want {
+		t.Errorf("n=%d: SSE = %q, want %q", n, f.SSE, want)
+	}
+	if want := fmt.Sprintf("\"v%d-h%d\"", r.Version, r.Height); f.ETag != want {
+		t.Errorf("n=%d: ETag = %s, want %s", n, f.ETag, want)
+	}
+	if want := strconv.FormatUint(r.Version, 10); f.EventID != want {
+		t.Errorf("n=%d: EventID = %s, want %s", n, f.EventID, want)
+	}
+	for k := 1; k < n; k++ {
+		if _, _, etag := f.Top(k); etag != fmt.Sprintf("\"v%d-h%d-t%d\"", r.Version, r.Height, k) {
+			t.Errorf("n=%d: Top(%d) ETag = %s", n, k, etag)
+		}
+	}
+}
+
+// TestStoreRecycledWriterWire pushes reports of several sizes, and one
+// that cannot be encoded, through a single Store: every frame must carry
+// the bytes a from-scratch encoding gives, and a later Set must not touch
+// the bytes of a frame already returned.
+func TestStoreRecycledWriterWire(t *testing.T) {
+	var st Store
+	var frames []*Frame
+	var reports []ReportJSON
+	for i, n := range []int{0, 1, 20, 200, 20} {
+		r := testReport(uint64(i)*1_000_003, int64(i)*987_654_321, n)
+		if r.Results == nil {
+			r.Results = []ResultJSON{} // Encode never produces nil
+		}
+		f, err := st.Set(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWire(t, f, r)
+		frames, reports = append(frames, f), append(reports, r)
+
+		// A report json.Marshal rejects fails Set and leaves the last
+		// good frame published; the next Set is unaffected (checked on
+		// the next pass).
+		bad := testReport(7, 7, 3)
+		bad.Results[2].ProfitUSD = math.NaN()
+		if _, err := st.Set(bad); err == nil {
+			t.Fatal("Set encoded a NaN profit")
+		}
+		if st.Frame() != f {
+			t.Fatal("a failed Set replaced the published frame")
+		}
+	}
+	for i, f := range frames {
+		checkWire(t, f, reports[i])
+	}
+}
+
+// TestStoreSetConcurrent hammers one Store's shared compressor and
+// scratch buffers from several goroutines; run it under -race. Each
+// returned frame must hold its own report, however the calls interleave.
+func TestStoreSetConcurrent(t *testing.T) {
+	const goroutines, sets = 8, 50
+	var st Store
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < sets; i++ {
+				r := testReport(uint64(g*sets+i), int64(g), 3+(g*7+i)%20)
+				f, err := st.Set(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				zr, err := gzip.NewReader(bytes.NewReader(f.Gzip))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plain, err := io.ReadAll(zr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := json.Marshal(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(plain, f.Raw) || !bytes.Equal(f.Raw, want) {
+					t.Errorf("goroutine %d set %d: frame bytes are not its own report's", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

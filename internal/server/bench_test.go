@@ -1,10 +1,14 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
+
+	"arbloop/internal/distrib"
 )
 
 // discardRW is the cheapest possible ResponseWriter: alloc measurements
@@ -123,16 +127,86 @@ func BenchmarkServerReportTop5(b *testing.B) {
 	})
 }
 
-// BenchmarkServerPublish prices the write side: one frame build (encode
-// + gzip + SSE framing + prefix index) per block.
-func BenchmarkServerPublish(b *testing.B) {
+func benchmarkPublish(b *testing.B, rep distrib.ReportJSON) {
 	srv := New()
-	rep := bigReport(1, 9, 200)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if err := srv.Publish(rep, time.Millisecond); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServerPublish prices the write side: one frame build (encode
+// + gzip + SSE framing + prefix index) per block, at 200 results.
+func BenchmarkServerPublish(b *testing.B) {
+	benchmarkPublish(b, bigReport(1, 9, 200))
+}
+
+// BenchmarkServerPublishTop20 prices it at the shape serve publishes
+// (top20Report, the TestPublishAllocBudget fixture).
+func BenchmarkServerPublishTop20(b *testing.B) {
+	benchmarkPublish(b, top20Report(1, 9))
+}
+
+// top20Report is shaped like the report serve publishes at its default
+// -top 20 on the paper's market (compare `arbloop scan -top 20 -json`):
+// MaxMax results on length-3 loops, each with a start token, an input,
+// and net_tokens over the loop's three tokens, the profit in the start
+// token and zero in the other two.
+func top20Report(version uint64, height int64) distrib.ReportJSON {
+	r := sampleReport(version, height)
+	r.Tokens, r.Pools, r.CyclesExamined, r.LoopsDetected = 51, 208, 187, 123
+	r.LoopsReoptimized, r.LoopsReused = 7, 116
+	for i := 0; i < 20; i++ {
+		a, b := fmt.Sprintf("TK%d", i+10), fmt.Sprintf("TK%d", i+30)
+		scale := 1 / float64(i+1)
+		r.Results = append(r.Results, distrib.ResultJSON{
+			Index:      3*i + 11,
+			Loop:       "DAI→" + a + "→" + b + "→DAI",
+			Strategy:   "MaxMax",
+			StartToken: b,
+			Input:      2377.75704225721 * scale,
+			ProfitUSD:  292.7956274846285 * scale,
+			NetTokens:  map[string]float64{"DAI": 0, a: 0, b: 68.30966362187883 * scale},
+		})
+	}
+	return r
+}
+
+// TestPublishAllocBudget pins the write side's garbage: one Publish of a
+// serve-shaped report encodes, compresses and frames the block through
+// the store's one reused compressor. A fresh gzip.NewWriter per block
+// costs ~830 kB, 13x the byte budget. Measured on a 2-CPU Xeon host with
+// Go 1.24: 147 allocs and 11 kB (197 and 16.5 kB under -race); almost
+// every alloc is encoding/json walking the net_tokens maps. The count
+// budget leaves ~2x headroom, as TestReportSteadyStateAllocBudget does.
+func TestPublishAllocBudget(t *testing.T) {
+	const runs, byteBudget, allocBudget = 200, 64 << 10, 300
+	srv, rep := New(), top20Report(1, 9)
+	publish := func() {
+		if err := srv.Publish(rep, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Counted like testing.AllocsPerRun (GOMAXPROCS 1, one warm-up
+	// call), plus bytes.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	publish()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		publish()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("publish: %.0f allocs (budget %d), %.1f kB (budget %d kB)", allocs, allocBudget, bytes/1024, byteBudget>>10)
+	if bytes > byteBudget {
+		t.Errorf("publish allocates %.0f kB, budget %d kB: is the frame store building a compressor per block?",
+			bytes/1024, byteBudget>>10)
+	}
+	if allocs > allocBudget {
+		t.Errorf("publish allocates %.0f times, budget %d", allocs, allocBudget)
 	}
 }

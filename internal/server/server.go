@@ -1,7 +1,7 @@
 // Package server is the HTTP face of the live opportunity service. Every
 // response is a thin read over an immutable distrib.Frame: the scan loop
 // publishes once per block (one JSON marshal, one gzip pass, one SSE
-// framing — in distrib.BuildFrame), and readers get the frame by atomic
+// framing — in distrib.Store.Set), and readers get the frame by atomic
 // pointer swap and serve with a header compare plus a buffer write. The
 // paper's §VII time budget shapes the design — read traffic ("millions
 // of users") and scan latency are completely decoupled, and the
@@ -385,12 +385,11 @@ func (s *Server) Store() *distrib.Store {
 // the scan latency reported by /v1/healthz.
 func (s *Server) Publish(r distrib.ReportJSON, elapsed time.Duration) error {
 	buildStart := time.Now()
-	f, err := distrib.BuildFrame(r)
+	f, err := s.store.Set(r)
 	if err != nil {
 		return err
 	}
 	s.frameBuild.Observe(time.Since(buildStart))
-	s.store.SetFrame(f)
 	s.scans.Add(1)
 	s.lastScanNano.Store(int64(elapsed))
 	s.lastPublishNano.Store(time.Now().UnixNano())

@@ -37,28 +37,29 @@ func sampleReport(version uint64, height int64) distrib.ReportJSON {
 
 func TestStoreAtomicSwap(t *testing.T) {
 	var st distrib.Store
-	if _, _, ok := st.Latest(); ok {
-		t.Error("empty store reported a report")
+	if f := st.Frame(); f != nil {
+		t.Error("empty store returned a frame")
 	}
-	if err := st.Set(sampleReport(1, 10)); err != nil {
+	f1, err := st.Set(sampleReport(1, 10))
+	if err != nil {
 		t.Fatal(err)
 	}
-	body, rep, ok := st.Latest()
-	if !ok || rep.Version != 1 {
-		t.Fatalf("Latest = %v v%d", ok, rep.Version)
+	if got := st.Frame(); got != f1 || got.Report.Version != 1 {
+		t.Fatalf("Frame after Set = %p, want %p", got, f1)
 	}
 	var decoded distrib.ReportJSON
-	if err := json.Unmarshal(body, &decoded); err != nil {
+	if err := json.Unmarshal(f1.Raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if decoded.Version != 1 || decoded.Height != 10 || decoded.Strategy != "MaxMax" {
 		t.Errorf("decoded = %+v", decoded)
 	}
-	if err := st.Set(sampleReport(2, 11)); err != nil {
+	f2, err := st.Set(sampleReport(2, 11))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, rep, _ := st.Latest(); rep.Version != 2 {
-		t.Errorf("swap kept v%d", rep.Version)
+	if got := st.Frame(); got != f2 || got.Report.Version != 2 {
+		t.Errorf("swap kept v%d", got.Report.Version)
 	}
 }
 

@@ -938,7 +938,7 @@ func benchServerThroughput(t *testing.T) serverBenchSection {
 
 	// A background publisher keeps swapping frames so every measurement
 	// includes write traffic. It republishes the same (version, height):
-	// BuildFrame is deterministic, so the swapped-in frame is
+	// Store.Set is deterministic, so the swapped-in frame is
 	// byte-identical and the ETag stays stable — the 304 row measures
 	// revalidation against a live publisher, not a frozen server.
 	stop := make(chan struct{})
