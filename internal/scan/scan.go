@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -514,7 +515,8 @@ func prevFor(prev []*strategy.Result, i int) *strategy.Result {
 // here — the innermost frame the engine owns, inside the pooled worker
 // goroutines, so a panicking custom strategy fails its loop
 // (ErrStrategyPanic) instead of killing a Workers goroutine and the
-// process with it. The deferred recover is open-coded by the compiler
+// process with it. A result whose profit is not finite fails its loop
+// the same way. The deferred recover is open-coded by the compiler
 // (one defer, not in a loop) and allocates only on the panic path, so
 // the steady-state delta budget is unchanged with containment enabled.
 func optimizeOne(ctx context.Context, s strategy.Strategy, warm strategy.WarmStarter, l *strategy.Loop, pm strategy.PriceMap, prev *strategy.Result, m *Metrics) (res strategy.Result, err error) {
@@ -528,9 +530,16 @@ func optimizeOne(ctx context.Context, s strategy.Strategy, warm strategy.WarmSta
 		}
 	}()
 	if warm != nil && prev != nil {
-		return warm.OptimizeWarm(ctx, l, pm, prev)
+		res, err = warm.OptimizeWarm(ctx, l, pm, prev)
+	} else {
+		res, err = s.Optimize(ctx, l, pm)
 	}
-	return s.Optimize(ctx, l, pm)
+	// Ranked, a NaN profit would pass the MinProfitUSD filter (NaN < x is
+	// false) and make the whole report unencodable as JSON.
+	if err == nil && !(math.Abs(res.Monetized) <= math.MaxFloat64) {
+		return strategy.Result{}, fmt.Errorf("scan: strategy returned a non-finite profit %g", res.Monetized)
+	}
+	return res, err
 }
 
 // allJobs returns [0, n) — the job list of a full scan.

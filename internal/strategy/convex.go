@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-
-	"arbloop/internal/convexopt"
 )
 
 // ConvexOptions tunes ConvexStrategy.
@@ -58,40 +55,23 @@ const maxFaceLen = 20
 // loop longer than 20 hops whose certificate fails returns
 // ErrLoopTooLong.
 //
-// Plans are walked hop by hop, so zero-net tokens net exactly zero, every
-// net is ≥ 0 exactly, and Monetized is never below MaxMax's. A solve is
+// Plans are walked hop by hop, so zero-net tokens net exactly zero and
+// every net is ≥ 0 exactly. MaxMax's plan is the same kernel's best
+// rotation, so Monetized is never below MaxMax's. A solve is
 // deterministic and allocates nothing beyond its Result.
 func Convex(l *Loop, prices PriceMap) (Result, error) {
-	if err := prices.Validate(l); err != nil {
-		return Result{}, err
-	}
-	n := l.Len()
-
-	profitable, err := l.Profitable()
+	w, err := staged(l, prices)
 	if err != nil {
 		return Result{}, err
 	}
-	if !profitable {
-		// §IV: no arbitrage ⇒ the unique optimum is the zero plan.
-		plan := TradePlan{Inputs: make([]float64, n), Outputs: make([]float64, n)}
-		return Result{
-			Strategy:  NameConvex,
-			Loop:      l,
-			Plan:      plan,
-			NetTokens: plan.NetTokens(l),
-			Monetized: 0,
-		}, nil
-	}
-
-	w := convexWSPool.Get().(*convexWS)
 	defer convexWSPool.Put(w)
-	if err := w.stage(l, prices); err != nil {
-		return Result{}, err
+	if !w.profitable() {
+		// §IV: no arbitrage ⇒ the unique optimum is the zero plan.
+		clear(w.plan)
+	} else if !w.solve() {
+		return Result{}, fmt.Errorf("%w: %d hops, at most %d for the convex face enumeration", ErrLoopTooLong, l.Len(), maxFaceLen)
 	}
-	if !w.solve() {
-		return Result{}, fmt.Errorf("%w: %d hops, at most %d for the convex face enumeration", ErrLoopTooLong, n, maxFaceLen)
-	}
-	return w.result(l, prices)
+	return w.result(NameConvex, l, -1)
 }
 
 // ConvexWarm returns Convex(l, prices) bit for bit; prev is ignored. The
@@ -101,72 +81,18 @@ func ConvexWarm(l *Loop, prices PriceMap, prev *Result) (Result, error) {
 	return Convex(l, prices)
 }
 
-// convexWS is the pooled per-solve scratch: the staged coefficients, the
-// plan being built, and the segment table. sync.Pool recycles it across
-// goroutines, so a warm scanner solves with no allocation beyond the
-// result itself.
-type convexWS struct {
-	prob convexopt.LoopProblem
-	plan []float64 // per-hop inputs of the best plan so far, loop indexing
-	amts []float64 // per-hop inputs of the rotation being walked
-	// segX and segY hold, at s·n+e, the closed-form input of the segment
-	// from free token s to free token e (e = s: the whole loop) and that
-	// input walked through the segment's hops into e.
-	segX, segY []float64
-	// unpriced has bit t set when token t's price is 0.
-	unpriced uint64
-}
-
-var convexWSPool = sync.Pool{New: func() any { return new(convexWS) }}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// profitable reports whether the staged loop is an arbitrage loop: the
+// product of its hops' spot prices γ·r_out/r_in, multiplied in
+// Loop.PriceProduct's order so every loop classifies as it does there,
+// exceeds 1.
+//
+//arblint:hotpath
+func (w *convexWS) profitable() bool {
+	prod := 1.0
+	for i, g := range w.prob.Gamma {
+		prod *= g * w.prob.ROut[i] / w.prob.RIn[i]
 	}
-	return s[:n]
-}
-
-// StageProblem stages the loop's problem (8) in p: each hop's fee
-// multiplier γ, its reserves oriented for the hop, and the CEX prices of
-// its input and output tokens. Convex solves exactly the problem staged
-// here.
-func StageProblem(p *convexopt.LoopProblem, l *Loop, prices PriceMap) error {
-	n := l.Len()
-	p.Reset(n)
-	for i := 0; i < n; i++ {
-		h := l.Hop(i)
-		rin, rout, err := h.Pool.Reserves(l.tokens[i])
-		if err != nil {
-			return err
-		}
-		out, err := h.TokenOut()
-		if err != nil {
-			return err
-		}
-		p.Gamma[i] = h.Pool.Gamma()
-		p.RIn[i] = rin
-		p.ROut[i] = rout
-		p.PIn[i] = prices[l.tokens[i]]
-		p.POut[i] = prices[out]
-	}
-	return nil
-}
-
-// stage stages the loop's problem in w and sizes the plan scratch.
-func (w *convexWS) stage(l *Loop, prices PriceMap) error {
-	if err := StageProblem(&w.prob, l, prices); err != nil {
-		return err
-	}
-	n := l.Len()
-	w.plan = growFloats(w.plan, n)
-	w.amts = growFloats(w.amts, n)
-	w.unpriced = 0
-	for i := 0; i < n; i++ {
-		if !(w.prob.PIn[i] > 0) {
-			w.unpriced |= 1 << i
-		}
-	}
-	return nil
+	return prod > 1
 }
 
 // solve stages the optimal per-hop inputs in w.plan: the best rotation
@@ -188,51 +114,6 @@ func (w *convexWS) solve() bool {
 	}
 	w.enumerate(profit)
 	return true
-}
-
-// compose appends hop i to the Möbius map (A, B, C), exactly as
-// amm.Mobius.Compose does on the pool's coefficients.
-//
-//arblint:hotpath
-func (w *convexWS) compose(A, B, C float64, i int) (float64, float64, float64) {
-	a2, b2, c2 := w.prob.Gamma[i]*w.prob.ROut[i], w.prob.RIn[i], w.prob.Gamma[i]
-	return a2 * A, B * b2, b2*C + c2*A
-}
-
-// bestRotation runs the closed-form single-start optimum from every
-// rotation of the loop — MaxMax, but allocation-free against the staged
-// coefficients — stages the best rotation's per-hop inputs in w.plan,
-// and returns its start token and monetized profit. Rotations are
-// scanned in loop order and ties keep the earliest, so the plan and its
-// profit are MaxMax's bit for bit.
-//
-//arblint:hotpath
-func (w *convexWS) bestRotation() (start int, profit float64) {
-	n := w.prob.N()
-	for r := 0; r < n; r++ {
-		A, B, C := 1.0, 1.0, 0.0
-		for k := 0; k < n; k++ {
-			A, B, C = w.compose(A, B, C, (r+k)%n)
-		}
-		input := 0.0
-		if A > B && C > 0 {
-			input = (math.Sqrt(A*B) - B) / C
-		}
-		// Walk the plan and monetize: only the start and end amounts are
-		// net (intermediate hops consume exactly what the previous one
-		// produced), so profit = P_start·(final − initial amount).
-		amt := input
-		for k := 0; k < n; k++ {
-			i := (r + k) % n
-			w.amts[i] = amt
-			amt = w.prob.F(i, amt)
-		}
-		if v := w.prob.PIn[r] * (amt - input); r == 0 || v > profit {
-			start, profit = r, v
-			copy(w.plan, w.amts)
-		}
-	}
-	return start, profit
 }
 
 // certified reports whether the rotation plan in w.plan, which nets
@@ -267,9 +148,15 @@ func (w *convexWS) certified(r int) bool {
 func (w *convexWS) enumerate(best float64) {
 	n := w.prob.N()
 	w.segments()
+	unpriced := uint64(0) // bit t set when token t is priced 0
+	for t, p := range w.prob.PIn {
+		if !(p > 0) {
+			unpriced |= 1 << t
+		}
+	}
 	bestFace := uint64(0)
 	for face := uint64(1); face < 1<<n; face++ {
-		if face&w.unpriced != 0 {
+		if face&unpriced != 0 {
 			continue
 		}
 		if v, ok := w.faceValue(face); ok && v > best {
@@ -362,27 +249,4 @@ func nextFree(face uint64, t int) int {
 		return t + 1 + bits.TrailingZeros64(after)
 	}
 	return bits.TrailingZeros64(face)
-}
-
-// result materializes the plan staged in w.plan: outputs via the staged
-// curves, net tokens, loop-order monetization.
-func (w *convexWS) result(l *Loop, prices PriceMap) (Result, error) {
-	n := l.Len()
-	plan := TradePlan{Inputs: make([]float64, n), Outputs: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		plan.Inputs[i] = w.plan[i]
-		plan.Outputs[i] = w.prob.F(i, w.plan[i])
-	}
-	net := plan.NetTokens(l)
-	mon, err := Monetize(l, net, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Strategy:  NameConvex,
-		Loop:      l,
-		Plan:      plan,
-		NetTokens: net,
-		Monetized: mon,
-	}, nil
 }

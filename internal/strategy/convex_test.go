@@ -18,6 +18,14 @@ import (
 // random CEX prices.
 func randomProfitableLoop(t testing.TB, rng *rand.Rand, n int) (*Loop, PriceMap) {
 	t.Helper()
+	return randomLoopWithProduct(t, rng, n, 1.02, 0.48)
+}
+
+// randomLoopWithProduct builds a loop of length n with random reserves
+// and fees, its price product nudged into [base, base+spread], plus
+// random CEX prices.
+func randomLoopWithProduct(t testing.TB, rng *rand.Rand, n int, base, spread float64) (*Loop, PriceMap) {
+	t.Helper()
 	fees := []float64{0, 0.001, 0.003, 0.01, 0.03}
 	hops := make([]Hop, n)
 	prices := PriceMap{}
@@ -32,7 +40,7 @@ func randomProfitableLoop(t testing.TB, rng *rand.Rand, n int) (*Loop, PriceMap)
 		}
 		prod *= gammas[i] * reserves[i][1] / reserves[i][0]
 	}
-	target := 1.02 + 0.48*rng.Float64()
+	target := base + spread*rng.Float64()
 	reserves[0][1] *= target / prod
 	for i := 0; i < n; i++ {
 		t0, t1 := fmt.Sprintf("T%d", i), fmt.Sprintf("T%d", (i+1)%n)
@@ -285,7 +293,7 @@ func TestConvexWorkspaceReuseAcrossLengths(t *testing.T) {
 		if !w.solve() {
 			t.Fatalf("%s: solve refused", l)
 		}
-		r, err := w.result(l, prices)
+		r, err := w.result(NameConvex, l, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,40 +420,46 @@ func TestConvexStrategyImplementsWarmStarter(t *testing.T) {
 	requireSameResult(t, "OptimizeWarm", warm, prev)
 }
 
-// TestConvexStructuredAllocBudget pins the per-solve allocation budget:
-// the solve itself is allocation-free after warm-up (TestConvexSolveAllocFree),
-// so Convex pays only for the result it returns (plan slices + net map). The dense reference
-// churns hundreds of allocations per solve; the pin is what keeps the
-// exact solve from regressing toward it.
+// TestConvexStructuredAllocBudget pins each strategy's allocations per
+// call at length 4. The solve itself allocates nothing once the pooled
+// workspace is sized (TestConvexSolveAllocFree), so a call pays for its
+// Result: the plan slices and the net map, plus the rotated loop for a
+// single-start strategy (7 for those, 4 for Convex and ConvexRisky). Each
+// budget adds one whole workspace (8 allocations), the most a call can
+// pay when sync.Pool drops it, as it deliberately does at random under
+// the race detector. Before every strategy ran on the one kernel, MaxMax
+// built n Results and allocated 29 here.
 func TestConvexStructuredAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l, prices := randomProfitableLoop(t, rng, 4)
-	if _, err := Convex(l, prices); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := Convex(l, prices); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// ~4 in a plain run (plan slices + net map); the headroom covers the
-	// race detector, under which sync.Pool deliberately drops items and
-	// the workspace reallocates.
-	const budget = 24
-	if allocs > budget {
-		t.Errorf("Convex allocates %.1f/solve, budget %d", allocs, budget)
-	}
 	prev, err := Convex(l, prices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := ConvexWarm(l, prices, &prev); err != nil {
+	const workspace = 8
+	for _, c := range []struct {
+		name   string
+		result int
+		run    func() (Result, error)
+	}{
+		{NameTraditional, 7, func() (Result, error) { return Traditional(l, l.Token(1), prices) }},
+		{NameMaxPrice, 7, func() (Result, error) { return MaxPrice(l, prices) }},
+		{NameMaxMax, 7, func() (Result, error) { return MaxMax(l, prices) }},
+		{NameConvex, 4, func() (Result, error) { return Convex(l, prices) }},
+		{"ConvexWarm", 4, func() (Result, error) { return ConvexWarm(l, prices, &prev) }},
+		{NameConvexRisky, 4, func() (Result, error) { return ConvexRisky(l, prices) }},
+	} {
+		if _, err := c.run(); err != nil { // warm the pool
 			t.Fatal(err)
 		}
-	})
-	if allocs > budget {
-		t.Errorf("ConvexWarm allocates %.1f/solve, budget %d", allocs, budget)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if budget := c.result + workspace; allocs > float64(budget) {
+			t.Errorf("%s allocates %.1f/call, budget %d", c.name, allocs, budget)
+		}
 	}
 }
 

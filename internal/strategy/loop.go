@@ -13,6 +13,16 @@
 //     inequalities and maximize Σ_t P_t·(net t) over all per-hop inputs at
 //     once, solved exactly: the best rotation when a KKT certificate
 //     accepts it, the best closed-form face otherwise (see Convex).
+//
+// All of them, and ConvexRisky (problem (8) without no-shorting), run on
+// one kernel: a pooled workspace holding the loop's problem as
+// StageProblem stages it, each hop's fee and reserves and each token's
+// price read once, the prices checked as PriceMap.Validate checks them.
+// Traditional and MaxPrice stage one rotation's closed-form plan, MaxMax
+// the best rotation, Convex the certified rotation or the best face, and
+// ConvexRisky each hop's own optimum. One materializer turns the plan into
+// the call's only allocation, its Result; a plan whose amounts or profit
+// are not finite is an error, never a NaN result.
 package strategy
 
 import (
@@ -212,15 +222,23 @@ type PriceMap map[string]float64
 // non-negative finite prices.
 func (p PriceMap) Validate(l *Loop) error {
 	for _, t := range l.tokens {
-		v, ok := p[t]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrMissingPrice, t)
-		}
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: %q has %g", ErrNegativePrice, t, v)
+		if _, err := p.price(t); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// price returns tok's price, or the error Validate reports for it.
+func (p PriceMap) price(tok string) (float64, error) {
+	v, ok := p[tok]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrMissingPrice, tok)
+	}
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%w: %q has %g", ErrNegativePrice, tok, v)
+	}
+	return v, nil
 }
 
 // TradePlan records the amounts flowing through each hop of a loop.

@@ -1,9 +1,6 @@
 package strategy
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ConvexRisky solves the further relaxation the paper mentions but
 // declines to evaluate (§IV): drop the no-shorting constraints
@@ -16,67 +13,36 @@ import (
 //	max_a  P_out·F(a) − P_in·a,  a ≥ 0
 //
 // whose stationary point is closed-form: F'(a*) = P_in/P_out gives
-// a* = (√(γ·x·y·P_out/P_in) − x)/γ, clamped at 0 (with a* = 0 whenever
-// P_in = 0 would otherwise send the input to infinity — the hop is then
-// skipped because an unpriced input makes "profit" ill-defined).
+// a* = (√(γ·x·y·P_out/P_in) − x)/γ, clamped at 0. A hop whose output is
+// priced 0 gets a* = 0 (any input is a pure loss), and so does a hop whose
+// input is priced 0: that would send the input to infinity, so the hop
+// is skipped because an unpriced input makes "profit" ill-defined.
 //
 // The result's NetTokens may be negative (short positions); Monetized is
 // the net dollar value, always ≥ the safe Convex result.
 func ConvexRisky(l *Loop, prices PriceMap) (Result, error) {
-	if err := prices.Validate(l); err != nil {
+	w, err := staged(l, prices)
+	if err != nil {
 		return Result{}, err
 	}
-	n := l.Len()
-	plan := TradePlan{Inputs: make([]float64, n), Outputs: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		hop := l.Hop(i)
-		outTok, err := hop.TokenOut()
-		if err != nil {
-			return Result{}, err
-		}
-		pIn, pOut := prices[l.tokens[i]], prices[outTok]
-		rin, rout, err := hop.Pool.Reserves(l.tokens[i])
-		if err != nil {
-			return Result{}, err
-		}
-		gamma := hop.Pool.Gamma()
+	defer convexWSPool.Put(w)
+	w.risky()
+	return w.result(NameConvexRisky, l, -1)
+}
 
-		var a float64
-		switch {
-		case pOut <= 0:
-			// Output worthless: any input is a pure loss.
-			a = 0
-		case pIn <= 0:
-			// Free input token would justify an unbounded position; treat
-			// as unusable rather than exploit an unpriced asset.
-			a = 0
-		default:
-			root := math.Sqrt(gamma * rin * rout * pOut / pIn)
-			a = (root - rin) / gamma
+// risky stages in w.plan each hop's decoupled optimum.
+//
+//arblint:hotpath
+func (w *convexWS) risky() {
+	p := &w.prob
+	for i := range w.plan {
+		a := 0.0
+		if p.POut[i] > 0 && p.PIn[i] > 0 {
+			a = (math.Sqrt(p.Gamma[i]*p.RIn[i]*p.ROut[i]*p.POut[i]/p.PIn[i]) - p.RIn[i]) / p.Gamma[i]
 			if a < 0 {
 				a = 0
 			}
 		}
-		out := 0.0
-		if a > 0 {
-			out, err = hop.Pool.AmountOut(l.tokens[i], a)
-			if err != nil {
-				return Result{}, fmt.Errorf("hop %d: %w", i, err)
-			}
-		}
-		plan.Inputs[i] = a
-		plan.Outputs[i] = out
+		w.plan[i] = a
 	}
-	net := plan.NetTokens(l)
-	mon, err := Monetize(l, net, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Strategy:  NameConvexRisky,
-		Loop:      l,
-		Plan:      plan,
-		NetTokens: net,
-		Monetized: mon,
-	}, nil
 }

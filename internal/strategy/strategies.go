@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 
 	"arbloop/internal/numeric"
 )
@@ -37,58 +38,21 @@ type Result struct {
 	Monetized float64
 }
 
-// planFromInput walks the loop once with the given start input, threading
-// each hop's output into the next hop.
-func planFromInput(l *Loop, input float64) (TradePlan, error) {
-	n := l.Len()
-	tp := TradePlan{Inputs: make([]float64, n), Outputs: make([]float64, n)}
-	amt := input
-	for i := 0; i < n; i++ {
-		tp.Inputs[i] = amt
-		out, err := l.Hop(i).Pool.AmountOut(l.tokens[i], amt)
-		if err != nil {
-			return TradePlan{}, fmt.Errorf("hop %d: %w", i, err)
-		}
-		tp.Outputs[i] = out
-		amt = out
-	}
-	return tp, nil
-}
-
 // Traditional maximizes P_start·(Δout − Δin) for a fixed start token using
 // the closed-form Möbius optimum. This is the paper's "traditional
 // strategy" with the profit monetized post hoc.
 func Traditional(l *Loop, start string, prices PriceMap) (Result, error) {
-	if err := prices.Validate(l); err != nil {
-		return Result{}, err
-	}
-	rot, err := l.RotateToStart(start)
+	w, err := staged(l, prices)
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := rot.Mobius()
-	if err != nil {
-		return Result{}, err
+	defer convexWSPool.Put(w)
+	r := slices.Index(l.tokens, start)
+	if r < 0 {
+		return Result{}, fmt.Errorf("%w: %q", ErrUnknownStart, start)
 	}
-	input := m.OptimalInput()
-	plan, err := planFromInput(rot, input)
-	if err != nil {
-		return Result{}, err
-	}
-	net := plan.NetTokens(rot)
-	mon, err := Monetize(rot, net, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Strategy:   NameTraditional,
-		Loop:       rot,
-		StartToken: start,
-		Input:      input,
-		Plan:       plan,
-		NetTokens:  net,
-		Monetized:  mon,
-	}, nil
+	w.rotation(r, w.plan)
+	return w.result(NameTraditional, l, r)
 }
 
 // TraditionalAll runs Traditional from every token of the loop, in loop
@@ -109,39 +73,33 @@ func TraditionalAll(l *Loop, prices PriceMap) ([]Result, error) {
 // price (first such token on ties). The paper shows this heuristic is
 // unreliable (Figs. 2 and 6).
 func MaxPrice(l *Loop, prices PriceMap) (Result, error) {
-	if err := prices.Validate(l); err != nil {
-		return Result{}, err
-	}
-	best := l.tokens[0]
-	for _, t := range l.tokens[1:] {
-		if prices[t] > prices[best] {
-			best = t
-		}
-	}
-	r, err := Traditional(l, best, prices)
+	w, err := staged(l, prices)
 	if err != nil {
 		return Result{}, err
 	}
-	r.Strategy = NameMaxPrice
-	return r, nil
+	defer convexWSPool.Put(w)
+	r := 0
+	for i, p := range w.prob.PIn {
+		if p > w.prob.PIn[r] {
+			r = i
+		}
+	}
+	w.rotation(r, w.plan)
+	return w.result(NameMaxPrice, l, r)
 }
 
-// MaxMax runs Traditional from every token and returns the rotation with
-// the largest monetized profit (paper eq. (6)). Ties keep the earliest
-// rotation, making the result deterministic.
+// MaxMax evaluates Traditional's plan from every token and returns the
+// rotation with the largest monetized profit (paper eq. (6)), found by
+// the search Convex starts from. Ties keep the earliest rotation, making
+// the result deterministic.
 func MaxMax(l *Loop, prices PriceMap) (Result, error) {
-	all, err := TraditionalAll(l, prices)
+	w, err := staged(l, prices)
 	if err != nil {
 		return Result{}, err
 	}
-	best := all[0]
-	for _, r := range all[1:] {
-		if r.Monetized > best.Monetized {
-			best = r
-		}
-	}
-	best.Strategy = NameMaxMax
-	return best, nil
+	defer convexWSPool.Put(w)
+	r, _ := w.bestRotation()
+	return w.result(NameMaxMax, l, r)
 }
 
 // optimalInputVariants are the ablation baselines for the single-start

@@ -373,68 +373,77 @@ func TestNoArbLoopAllStrategiesZero(t *testing.T) {
 	}
 }
 
-// Property: MaxMax dominates every traditional start, and the optimum
+// Property: MaxMax dominates MaxPrice and every traditional start with
+// zero tolerance (all are rotations of one kernel), and the optimum
 // satisfies the stationarity condition F'(Δ*) = 1 on profitable loops.
 func TestMaxMaxDominanceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 50; trial++ {
-		l := randomLoop(t, rng)
-		prices := PriceMap{
-			"X": rng.Float64() * 30,
-			"Y": rng.Float64() * 30,
-			"Z": rng.Float64() * 30,
-		}
-		mm, err := MaxMax(l, prices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all, err := TraditionalAll(l, prices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range all {
-			if r.Monetized > mm.Monetized+1e-9 {
-				t.Fatalf("trial %d: Traditional(%s) %.6g > MaxMax %.6g",
-					trial, r.StartToken, r.Monetized, mm.Monetized)
+	for n := 3; n <= 6; n++ {
+		for trial := 0; trial < 50; trial++ {
+			l, prices := randomLoopLen(t, rng, n)
+			if trial%4 == 0 {
+				prices[l.Token(trial%n)] = 0
 			}
-		}
-		if profitable, _ := l.Profitable(); profitable {
-			rot, err := l.RotateToStart(mm.StartToken)
+			mm, err := MaxMax(l, prices)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := rot.Mobius()
+			all, err := TraditionalAll(l, prices)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := m.Deriv(mm.Input); math.Abs(d-1) > 1e-6 {
-				t.Errorf("trial %d: F'(Δ*) = %.9g, want 1", trial, d)
+			for _, r := range all {
+				if r.Monetized > mm.Monetized {
+					t.Fatalf("n=%d trial %d: Traditional(%s) %.17g > MaxMax %.17g",
+						n, trial, r.StartToken, r.Monetized, mm.Monetized)
+				}
+			}
+			mp, err := MaxPrice(l, prices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mp.Monetized > mm.Monetized {
+				t.Fatalf("n=%d trial %d: MaxPrice %.17g > MaxMax %.17g", n, trial, mp.Monetized, mm.Monetized)
+			}
+			if profitable, _ := l.Profitable(); profitable {
+				rot, err := l.RotateToStart(mm.StartToken)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := rot.Mobius()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := m.Deriv(mm.Input); math.Abs(d-1) > 1e-6 {
+					t.Errorf("n=%d trial %d: F'(Δ*) = %.9g, want 1", n, trial, d)
+				}
 			}
 		}
 	}
 }
 
-// Property: Convex ≥ MaxMax − ε on random loops (paper §IV dominance).
+// Property: Convex ≥ MaxMax with zero tolerance on random loops (paper
+// §IV dominance): Convex starts from the same kernel's best rotation and
+// replaces it only with a strictly better face.
 func TestConvexDominanceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
-		l := randomLoop(t, rng)
-		prices := PriceMap{
-			"X": rng.Float64()*20 + 0.5,
-			"Y": rng.Float64()*20 + 0.5,
-			"Z": rng.Float64()*20 + 0.5,
-		}
-		mm, err := MaxMax(l, prices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cv, err := Convex(l, prices)
-		if err != nil {
-			t.Fatalf("trial %d (%s): %v", trial, l, err)
-		}
-		tol := 1e-6 * (1 + mm.Monetized)
-		if cv.Monetized < mm.Monetized-tol {
-			t.Errorf("trial %d: Convex %.9g < MaxMax %.9g", trial, cv.Monetized, mm.Monetized)
+	for n := 3; n <= 6; n++ {
+		for trial := 0; trial < 40; trial++ {
+			l, prices := randomLoopLen(t, rng, n)
+			if trial%4 == 0 {
+				prices[l.Token(trial%n)] = 0
+			}
+			mm, err := MaxMax(l, prices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cv, err := Convex(l, prices)
+			if err != nil {
+				t.Fatalf("n=%d trial %d (%s): %v", n, trial, l, err)
+			}
+			if cv.Monetized < mm.Monetized {
+				t.Errorf("n=%d trial %d: Convex %.17g < MaxMax %.17g", n, trial, cv.Monetized, mm.Monetized)
+			}
 		}
 	}
 }
