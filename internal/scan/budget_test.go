@@ -1,0 +1,171 @@
+package scan
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"arbloop/internal/amm"
+	"arbloop/internal/cex"
+	"arbloop/internal/strategy"
+)
+
+// deltaBytesPerScan returns the heap bytes one dirty delta scan
+// allocates (runtime.MemStats.TotalAlloc), averaged over scans blocks in
+// which swaps pools trade. Every block's pool state is built before the
+// measured window, so the harness's own pool rebuilds are not counted.
+func deltaBytesPerScan(t *testing.T, cfg Config, swaps, scans int) float64 {
+	t.Helper()
+	pools, prices := deltaMarket(t)
+	src := cex.NewStatic(prices)
+	ctx := context.Background()
+	const warm = 5
+	rng := rand.New(rand.NewSource(31))
+	states := make([][]*amm.Pool, warm+scans)
+	state := pools
+	for i := range states {
+		state = perturb(t, rng, state, swaps)
+		states[i] = state
+	}
+
+	st := NewDelta(cfg)
+	scan := func(pools []*amm.Pool) {
+		rep, err := st.Scan(ctx, pools, nil, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LoopsReoptimized == 0 || rep.LoopsReused == 0 {
+			t.Fatalf("scan re-optimized %d and reused %d loops: not a dirty delta scan",
+				rep.LoopsReoptimized, rep.LoopsReused)
+		}
+	}
+	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil { // capture
+		t.Fatal(err)
+	}
+	for _, s := range states[:warm] {
+		scan(s)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, s := range states[warm:] {
+		scan(s)
+	}
+	runtime.ReadMemStats(&after)
+	if s := st.Stats(); s.FullScans != 1 {
+		t.Fatalf("stats = %+v, want one capture and delta scans only", s)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(scans)
+}
+
+// TestDeltaDirtyScanByteBudget pins the bytes a dirty delta scan
+// allocates on the two perfbench shapes: ranking copies out only the
+// TopK results it keeps, a dirty shard copies entry pointers rather than
+// entries, orienting a dirty cycle copies no traversal, and the scratch
+// arena grows with headroom. The scans read ~168 kB and ~20 kB (2-CPU
+// Xeon, Go 1.24; ~190 kB and ~21 kB under -race). Each budget sits below
+// what the scan reads when any one of those copies comes back: copying
+// whole Results or entries reads ~557 kB and ~75 kB, and reallocating
+// the scratch at the exact length on every new high of the loop count
+// reads ~243 kB and ~30 kB.
+func TestDeltaDirtyScanByteBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		swaps  int
+		budget float64 // bytes per scan
+	}{
+		{"convex-len4", Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2, TopK: 20}, 10, 224 << 10},
+		{"maxmax-len3", Config{Strategy: strategy.MaxMaxStrategy{}, Shards: 2, TopK: 20}, 4, 26 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := deltaBytesPerScan(t, tc.cfg, tc.swaps, 40)
+			t.Logf("%s: %.1f kB per dirty delta scan (budget %.0f kB)", tc.name, got/1024, tc.budget/1024)
+			if got > tc.budget {
+				t.Errorf("dirty delta scan allocates %.1f kB, budget %.0f kB", got/1024, tc.budget/1024)
+			}
+		})
+	}
+}
+
+// failLoop wraps a strategy and fails one loop, named by its pools in
+// hop order, on every call — a loop whose strategy persistently errors.
+type failLoop struct {
+	inner strategy.Strategy
+	pools []string
+}
+
+var errLoopFails = errors.New("loop always fails")
+
+func (f failLoop) Name() string { return f.inner.Name() }
+
+func (f failLoop) Optimize(ctx context.Context, l *strategy.Loop, pm strategy.PriceMap) (strategy.Result, error) {
+	if l.Len() == len(f.pools) {
+		match := true
+		for i, id := range f.pools {
+			if l.Hop(i).Pool.ID != id {
+				match = false
+				break
+			}
+		}
+		if match {
+			return strategy.Result{}, errLoopFails
+		}
+	}
+	return f.inner.Optimize(ctx, l, pm)
+}
+
+// TestDeltaFailedLoopCostsNoAllocs: a loop that failed at capture is
+// reused, error and all, by every clean delta scan after it. The scan
+// formats an error only when every loop failed, so one persistently
+// failing loop must leave the clean scan on the same 7-allocation budget
+// as a healthy market.
+func TestDeltaFailedLoopCostsNoAllocs(t *testing.T) {
+	pools, prices := deltaMarket(t)
+	src := cex.NewStatic(prices)
+	ctx := context.Background()
+	healthy, err := Run(ctx, pools, src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim []string
+	for i := 0; i < healthy.Results[0].Loop.Len(); i++ {
+		victim = append(victim, healthy.Results[0].Loop.Hop(i).Pool.ID)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		s      strategy.Strategy
+		failed int
+	}{
+		{"healthy", strategy.MaxMaxStrategy{}, 0},
+		{"one loop failing", failLoop{inner: strategy.MaxMaxStrategy{}, pools: victim}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewDelta(Config{Strategy: tc.s, Parallelism: 1, Shards: 4, Metrics: NewMetrics()})
+			state := rebuild(t, pools)
+			if _, err := st.Scan(ctx, state, nil, src, nil); err != nil {
+				t.Fatal(err)
+			}
+			var rep Report
+			allocs := testing.AllocsPerRun(20, func() {
+				var err error
+				if rep, err = st.Scan(ctx, state, nil, src, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if rep.Failed != tc.failed {
+				t.Fatalf("Failed = %d, want %d", rep.Failed, tc.failed)
+			}
+			if rep.LoopsReoptimized != 0 {
+				t.Fatalf("clean scan re-optimized %d loops", rep.LoopsReoptimized)
+			}
+			const budget = 7
+			t.Logf("clean delta scan, %s: %.1f allocs", tc.name, allocs)
+			if allocs > budget {
+				t.Errorf("clean delta scan with %d failed loop(s) allocates %.1f, budget %d", tc.failed, allocs, budget)
+			}
+		})
+	}
+}

@@ -105,6 +105,9 @@ type topology struct {
 	// poolCycles[i] lists the indices of cycles that route through the
 	// canonical pool index i.
 	poolCycles [][]int
+	// tokens lists the graph's token keys in node order, which graph.Build
+	// makes lexicographic: the sorted universe of price symbols.
+	tokens []string
 	// tokenCycles maps a token key to the indices of cycles visiting it.
 	tokenCycles map[string][]int
 	// poolIndex maps a pool ID to its canonical pool index.
@@ -117,6 +120,7 @@ func newTopology(g *graph.Graph, cs []cycles.Cycle) *topology {
 	top := &topology{
 		cycles:      cs,
 		skel:        g,
+		tokens:      g.Nodes(),
 		poolCycles:  make([][]int, g.NumEdges()),
 		tokenCycles: make(map[string][]int, g.NumNodes()),
 		poolIndex:   make(map[string]int, g.NumEdges()),
@@ -134,6 +138,21 @@ func newTopology(g *graph.Graph, cs []cycles.Cycle) *topology {
 		}
 	}
 	return top
+}
+
+// priceSymbols appends to dst, in sorted order, every token on a cycle
+// that has a loop this scan (loopOf[ci] >= 0): the symbols the scan
+// fetches prices for, with no per-scan set to build or sort.
+func (top *topology) priceSymbols(dst []string, loopOf []int32) []string {
+	for _, tok := range top.tokens {
+		for _, ci := range top.tokenCycles[tok] {
+			if loopOf[ci] >= 0 {
+				dst = append(dst, tok)
+				break
+			}
+		}
+	}
+	return dst
 }
 
 // DefaultCacheCapacity bounds a zero-configured cache. A live service

@@ -22,14 +22,19 @@
 // state for its cycles, and a scan touches only the shards whose dirty
 // set is non-empty — re-orienting them in parallel and committing
 // copy-on-write per shard, so clean shards cost nothing, not even a
-// baseline copy.
+// baseline copy. A dirty shard copies entry pointers, not entries:
+// entries are immutable and shared across baselines, and commit
+// allocates one only per re-optimized loop.
 //
 // The per-block path is also on an allocation diet: the topology check
 // compares pool metadata field-by-field instead of hashing a
 // fingerprint, the graph is rebound to fresh reserves instead of
-// rebuilt, and every per-scan slice and map lives in a reusable scratch
-// arena carried by the Delta, so a steady-state delta scan touches
-// the allocator a fixed handful of times regardless of market size.
+// rebuilt, orientation walks each cycle's own indices, the price
+// symbols are the topology's sorted tokens filtered to this scan's
+// loops, ranking sorts (profit, index) keys and copies out only the TopK
+// results it keeps, and every per-scan slice lives in a reusable scratch
+// arena carried by the Delta, so a steady-state delta scan touches the
+// allocator a fixed handful of times regardless of market size.
 //
 // The dirty set is computed by diffing reserves against the previous
 // scan's (authoritative, O(pools)), optionally widened by a caller-
@@ -123,12 +128,21 @@ func (d *Delta) snapshot() (baseline, bool) {
 	return d.base, d.valid
 }
 
-// deltaEntry is one cycle's captured outcome (meaningful only when the
-// cycle's orientation is not orientNone).
+// deltaEntry is one profitable cycle's captured outcome. Immutable once
+// committed: baselines share entries by pointer.
 type deltaEntry struct {
 	loop   *strategy.Loop
 	result strategy.Result
 	err    error
+}
+
+// warmResult returns a captured entry's result as a warm start, or nil
+// when there is no entry or it failed.
+func warmResult(e *deltaEntry) *strategy.Result {
+	if e == nil || e.err != nil {
+		return nil
+	}
+	return &e.result
 }
 
 // DeltaStats counts how a Delta resolved its scans: on the fast path or
@@ -205,8 +219,8 @@ func (b *baseline) usable(pools []*amm.Pool) bool {
 	return true
 }
 
-// scratch is the reusable per-scan arena: every slice and map the delta
-// fast path needs, sized once and recycled block after block so the
+// scratch is the reusable per-scan arena: every slice the delta fast
+// path needs, sized once and recycled block after block so the
 // steady-state scan performs no per-item allocation. Nothing in here
 // outlives the scan that holds it — state that must survive (orient,
 // entries) is written into fresh copy-on-write shard baselines instead.
@@ -231,21 +245,24 @@ type scratch struct {
 	// prevRes[li] points at the loop's captured result in the previous
 	// baseline (same orientation, no error) — the warm start handed to
 	// WarmStarter strategies; nil when the capture is unusable.
-	prevRes  []*strategy.Result
-	jobs     []int
-	all      []Result
-	tokenSet map[string]struct{}
-	symbols  []string
+	prevRes []*strategy.Result
+	jobs    []int
+	all     []Result
+	symbols []string
+	// keys is assembleReport's ranking buffer.
+	keys []rankKey
 	// det is the report-assembly view of the scan, rebuilt in place each
 	// block so the steady-state path does not heap-allocate a detection.
 	det detection
 }
 
 // growSlice returns s resized to n, reallocating only when capacity is
-// short. Contents are unspecified.
+// short, and then with append's headroom, so a loop count that creeps up
+// block after block does not reallocate on every new high. Contents are
+// unspecified.
 func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return slices.Grow(s[:0], n)[:n]
 	}
 	return s[:n]
 }
@@ -272,11 +289,6 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 	s.reopt = s.reopt[:0]
 	s.prevRes = s.prevRes[:0]
 	s.jobs = s.jobs[:0]
-	if s.tokenSet == nil {
-		s.tokenSet = make(map[string]struct{})
-	} else {
-		clear(s.tokenSet)
-	}
 	s.symbols = s.symbols[:0]
 }
 
@@ -399,10 +411,10 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 				}
 				sb.orient[lo] = o
 				if o == orientNone {
-					sb.entries[lo] = deltaEntry{} // drop the stale capture
+					sb.entries[lo] = nil // drop the stale capture
 					continue
 				}
-				loop, err := LoopFromDirected(g, directedFor(top.cycles[ci], o))
+				loop, err := loopFromCycle(g, top.cycles[ci], o)
 				if err != nil {
 					scr.shardErrs[k] = err
 					return false
@@ -429,9 +441,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	// Stitch: materialize the detected loop list in global cycle order —
 	// exactly the order a full scan detects in — reading each cycle's
 	// orientation from its shard (the fresh clone when dirty, the shared
-	// baseline when clean), and union the loop tokens for the price
-	// fetch. A dirty cycle that kept its orientation also carries a
-	// pointer to its captured result: baselines are immutable once
+	// baseline when clean). A dirty cycle that kept its orientation also
+	// carries a pointer to its captured result: entries are immutable once
 	// committed, so the pointer stays valid for the scan, and WarmStarter
 	// strategies re-optimize from the previous block's optimum instead of
 	// cold-starting.
@@ -449,28 +460,20 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		}
 		dirty := scr.dirtyCycle[ci]
 		var loop *strategy.Loop
-		var prevEntry *deltaEntry
+		var prev *strategy.Result
 		if dirty {
 			loop = scr.newLoop[ci]
-			if old := base.shards[s]; old.orient[lo] == o && old.entries[lo].err == nil && old.entries[lo].loop != nil {
-				prevEntry = &old.entries[lo]
+			if old := base.shards[s]; old.orient[lo] == o {
+				prev = warmResult(old.entries[lo])
 			}
 		} else {
 			loop = sb.entries[lo].loop
 		}
-		li := len(scr.loops)
-		scr.loopIdx[ci] = int32(li)
+		scr.loopIdx[ci] = int32(len(scr.loops))
 		scr.loops = append(scr.loops, loop)
 		scr.loopCycle = append(scr.loopCycle, ci)
 		scr.reopt = append(scr.reopt, dirty)
-		if prevEntry != nil {
-			scr.prevRes = append(scr.prevRes, &prevEntry.result)
-		} else {
-			scr.prevRes = append(scr.prevRes, nil)
-		}
-		for k := 0; k < loop.Len(); k++ {
-			scr.tokenSet[loop.Token(k)] = struct{}{}
-		}
+		scr.prevRes = append(scr.prevRes, prev)
 	}
 
 	if timed {
@@ -483,10 +486,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	// full scan would fetch). A moved price re-optimizes every loop
 	// touching the token — cached Monetized values are stale for it —
 	// and wakes the loop's shard for the copy-on-write commit.
-	for tok := range scr.tokenSet {
-		scr.symbols = append(scr.symbols, tok)
-	}
-	slices.Sort(scr.symbols)
+	scr.symbols = top.priceSymbols(scr.symbols, scr.loopIdx)
 	pm, degraded, err := fetchPriceSymbols(ctx, prices, scr.symbols, d.cfg.StageTimeout)
 	if err != nil {
 		return Report{}, err
@@ -506,9 +506,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 			scr.reopt[li] = true
 			// The loop itself is clean (same reserves, same orientation),
 			// so its capture is a valid warm start for the re-pricing.
-			if e := &base.shards[plan.shardOf[ci]].entries[plan.localOf[ci]]; e.err == nil && e.loop != nil {
-				scr.prevRes[li] = &e.result
-			}
+			scr.prevRes[li] = warmResult(base.shards[plan.shardOf[ci]].entries[plan.localOf[ci]])
 			if s := plan.shardOf[ci]; scr.newShard[s] == nil {
 				scr.newShard[s] = cloneShardBase(base.shards[s])
 				if m != nil {
@@ -554,11 +552,12 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		}
 	}
 
-	// Write the fresh outcomes into the copy-on-write shard entries.
+	// Point the copy-on-write shard entries at the fresh outcomes.
 	for _, li := range scr.jobs {
 		ci := scr.loopCycle[li]
-		r := scr.all[li]
-		scr.newShard[plan.shardOf[ci]].entries[plan.localOf[ci]] = deltaEntry{loop: r.Loop, result: r.Result, err: r.Err}
+		r := &scr.all[li]
+		//arblint:ignore hotpath the entry outlives the scan: the committed baseline holds it until its loop re-optimizes again
+		scr.newShard[plan.shardOf[ci]].entries[plan.localOf[ci]] = &deltaEntry{loop: r.Loop, result: r.Result, err: r.Err}
 	}
 	shardsScanned := 0
 	for _, sb := range scr.newShard {
@@ -570,7 +569,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	// assembleReport only reads the detection within the call, so the
 	// scratch arena carries it across blocks instead of the heap.
 	scr.det = detection{graph: g, top: top, loops: scr.loops, prices: pm, cacheHit: true, degraded: degraded}
-	rep, err := assembleReport(&scr.det, d.cfg, scr.all, len(scr.jobs), len(scr.loops)-len(scr.jobs))
+	rep, err := assembleReport(&scr.det, d.cfg, scr.all, &scr.keys, len(scr.jobs), len(scr.loops)-len(scr.jobs))
 	if err != nil {
 		return Report{}, err
 	}
@@ -637,7 +636,8 @@ func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.Pr
 		m.LoopsReoptimized.Add(uint64(len(det.loops)))
 		t = now
 	}
-	rep, err := assembleReport(det, d.cfg, all, len(det.loops), 0)
+	var keys []rankKey
+	rep, err := assembleReport(det, d.cfg, all, &keys, len(det.loops), 0)
 	if err != nil {
 		return Report{}, err
 	}

@@ -3,12 +3,14 @@ package scan
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"arbloop/internal/amm"
 	"arbloop/internal/cex"
 	"arbloop/internal/market"
 	"arbloop/internal/source"
+	"arbloop/internal/strategy"
 )
 
 // deltaMarket builds the §VI synthetic market as mutable pool values plus
@@ -377,4 +379,59 @@ func TestRunDeltaHintOnlyWidens(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameReport(t, delta, full)
+}
+
+// TestDeltaConcurrentScansMatchFull: scanners sharing one Delta snapshot,
+// diff against and commit over each other's baselines, and those
+// baselines share captured entries by pointer. A scan that wrote through
+// a shared entry or entry slice would corrupt a baseline another scan is
+// reading. Every report must still equal a full scan of its own state.
+func TestDeltaConcurrentScansMatchFull(t *testing.T) {
+	pools, prices := deltaMarket(t)
+	src := cex.NewStatic(prices)
+	ctx := context.Background()
+	const scanners, states = 4, 40
+
+	for _, cfg := range []Config{
+		{Strategy: strategy.MaxMaxStrategy{}, TopK: 20, Shards: 3},
+		{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2},
+	} {
+		rng := rand.New(rand.NewSource(int64(41 + cfg.Shards)))
+		state := make([][]*amm.Pool, states)
+		for i := range state {
+			state[i] = perturb(t, rng, pools, 1+rng.Intn(len(pools)/10))
+		}
+		st := NewDelta(cfg)
+		if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
+			t.Fatal(err)
+		}
+
+		reps := make([]Report, states)
+		errs := make([]error, states)
+		var wg sync.WaitGroup
+		for g := 0; g < scanners; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < states; i += scanners {
+					reps[i], errs[i] = st.Scan(ctx, state[i], nil, src, nil)
+				}
+			}()
+		}
+		wg.Wait()
+
+		for i := range state {
+			if errs[i] != nil {
+				t.Fatalf("%s state %d: %v", cfg.Strategy.Name(), i, errs[i])
+			}
+			full, err := Run(ctx, rebuild(t, state[i]), src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameReport(t, reps[i], full)
+		}
+		if s := st.Stats(); s.FullScans != 1 || s.DeltaScans != states {
+			t.Errorf("%s: stats = %+v, want 1 capture and %d delta scans", cfg.Strategy.Name(), s, states)
+		}
+	}
 }

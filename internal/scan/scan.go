@@ -17,13 +17,13 @@
 package scan
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,16 +49,22 @@ var ErrStrategyPanic = errors.New("scan: strategy panicked")
 // LoopFromDirected converts a detected directed cycle into a strategy
 // loop, resolving pools and token keys through the graph.
 func LoopFromDirected(g *graph.Graph, d cycles.Directed) (*strategy.Loop, error) {
-	hops := make([]strategy.Hop, d.Len())
-	for i := 0; i < d.Len(); i++ {
-		hops[i] = strategy.Hop{
-			Pool:    g.Pool(d.Pools[i]),
-			TokenIn: g.Node(d.Nodes[i]),
-		}
+	// A directed traversal is its own node and pool order walked forward.
+	return loopFromCycle(g, cycles.Cycle(d), orientForward)
+}
+
+// loopFromCycle builds the strategy loop of cycle c traversed in
+// orientation o, walking the cycle's own indices instead of copying the
+// traversal out first.
+func loopFromCycle(g *graph.Graph, c cycles.Cycle, o int8) (*strategy.Loop, error) {
+	hops := make([]strategy.Hop, c.Len())
+	for i := range hops {
+		node, pool := hopOf(c, o, i)
+		hops[i] = strategy.Hop{Pool: g.Pool(pool), TokenIn: g.Node(node)}
 	}
 	l, err := strategy.NewLoop(hops)
 	if err != nil {
-		return nil, fmt.Errorf("scan: directed cycle %v: %w", d, err)
+		return nil, fmt.Errorf("scan: directed cycle %v: %w", directedFor(c, o), err)
 	}
 	return l, nil
 }
@@ -214,8 +220,8 @@ type detection struct {
 	graph    *graph.Graph
 	top      *topology
 	loops    []*strategy.Loop
-	orient   []int8 // per cycle: orientNone / orientForward / orientReverse
-	loopOf   []int  // per cycle: loop index, or -1 when not profitable
+	orient   []int8  // per cycle: orientNone / orientForward / orientReverse
+	loopOf   []int32 // per cycle: loop index, or -1 when not profitable
 	prices   strategy.PriceMap
 	cacheHit bool
 	degraded bool // prices came from a fallback (see Report.Degraded)
@@ -231,12 +237,19 @@ const (
 
 // orientCycle returns the profitable orientation of a cycle against the
 // current reserves, mirroring cycles.ArbitrageLoops (forward tested
-// first).
+// first). Each orientation's price product multiplies the hops in
+// traversal order, as cycles.PriceProduct does, so the products are
+// bit-identical without materializing either traversal.
 func orientCycle(g *graph.Graph, c cycles.Cycle) (int8, error) {
-	for _, o := range []int8{orientForward, orientReverse} {
-		prod, err := cycles.PriceProduct(g, directedFor(c, o))
-		if err != nil {
-			return orientNone, err
+	for _, o := range [...]int8{orientForward, orientReverse} {
+		prod := 1.0
+		for i := range c.Len() {
+			node, pool := hopOf(c, o, i)
+			p, err := g.Pool(pool).SpotPrice(g.Node(node))
+			if err != nil {
+				return orientNone, fmt.Errorf("hop %d: %w", i, err)
+			}
+			prod *= p
 		}
 		if prod > 1 {
 			return o, nil
@@ -245,8 +258,18 @@ func orientCycle(g *graph.Graph, c cycles.Cycle) (int8, error) {
 	return orientNone, nil
 }
 
+// hopOf returns hop i of cycle c traversed in orientation o, as its input
+// node and its pool: element i of directedFor(c, o), read in place.
+func hopOf(c cycles.Cycle, o int8, i int) (node, pool int) {
+	if o == orientReverse {
+		k := len(c.Nodes)
+		return c.Nodes[(k-i)%k], c.Pools[k-1-i]
+	}
+	return c.Nodes[i], c.Pools[i]
+}
+
 // directedFor returns the directed traversal of a cycle for a non-none
-// orientation.
+// orientation. Only error messages materialize it.
 func directedFor(c cycles.Cycle, o int8) cycles.Directed {
 	if o == orientReverse {
 		return c.Reverse()
@@ -316,10 +339,9 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 		graph:    g,
 		top:      top,
 		orient:   make([]int8, len(cs)),
-		loopOf:   make([]int, len(cs)),
+		loopOf:   make([]int32, len(cs)),
 		cacheHit: hit,
 	}
-	tokenSet := make(map[string]struct{})
 	for ci, c := range cs {
 		o, err := orientCycle(g, c)
 		if err != nil {
@@ -330,15 +352,12 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 		if o == orientNone {
 			continue
 		}
-		loop, err := LoopFromDirected(g, directedFor(c, o))
+		loop, err := loopFromCycle(g, c, o)
 		if err != nil {
 			return nil, err
 		}
-		d.loopOf[ci] = len(d.loops)
+		d.loopOf[ci] = int32(len(d.loops))
 		d.loops = append(d.loops, loop)
-		for _, t := range loop.Tokens() {
-			tokenSet[t] = struct{}{}
-		}
 	}
 
 	if m != nil {
@@ -347,7 +366,7 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 		m.StageOrient.Observe(now.Sub(t0))
 		t0 = now
 	}
-	d.prices, d.degraded, err = fetchPrices(ctx, prices, tokenSet, cfg.StageTimeout)
+	d.prices, d.degraded, err = fetchPriceSymbols(ctx, prices, top.priceSymbols(nil, d.loopOf), cfg.StageTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -357,24 +376,9 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 	return d, nil
 }
 
-// fetchPrices batch-fetches CEX prices for a token set in sorted symbol
-// order.
-func fetchPrices(ctx context.Context, prices source.PriceSource, tokenSet map[string]struct{}, timeout time.Duration) (strategy.PriceMap, bool, error) {
-	if len(tokenSet) == 0 {
-		return strategy.PriceMap{}, false, nil
-	}
-	symbols := make([]string, 0, len(tokenSet))
-	for s := range tokenSet {
-		symbols = append(symbols, s)
-	}
-	sort.Strings(symbols)
-	return fetchPriceSymbols(ctx, prices, symbols, timeout)
-}
-
-// fetchPriceSymbols batch-fetches prices for an already sorted symbol
-// list — the delta path's variant, which reuses its scratch symbol slice
-// instead of building a fresh set per scan. The source must treat the
-// slice as read-only.
+// fetchPriceSymbols batch-fetches prices for a sorted symbol list
+// (topology.priceSymbols). The source must treat the slice as read-only:
+// the delta path passes its scratch slice.
 //
 // This is the scan's one externally-blocking stage, so the containment
 // hooks live here: a positive timeout puts a deadline on the call
@@ -551,51 +555,42 @@ func allJobs(n int) []int {
 	return out
 }
 
-// assembleReport turns the complete per-loop result set (indexed by loop,
-// failures included, unfiltered) into the ranked batch report, applying
-// the systemic-failure check, the MinProfitUSD filter, ranking, and TopK
-// truncation. reoptimized + reused must equal len(all).
-func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused int) (Report, error) {
-	var (
-		firstErr  error
-		failed    int
-		succeeded int
-	)
-	results := make([]Result, 0, len(all))
-	for _, r := range all {
+// assembleReport turns the complete per-loop result set (all[i] is loop
+// i's outcome, so all[i].Index == i; failures included, unfiltered) into
+// the ranked batch report, applying the systemic-failure check, the
+// MinProfitUSD filter, ranking, and TopK truncation. keys is the caller's
+// reusable ranking buffer. reoptimized + reused must equal len(all).
+func assembleReport(d *detection, cfg Config, all []Result, keys *[]rankKey, reoptimized, reused int) (Report, error) {
+	failed, firstFailed := 0, -1
+	ranked := (*keys)[:0]
+	for i := range all {
+		r := &all[i]
 		if r.Err != nil {
 			failed++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("scan: loop %s: %w", r.Loop, r.Err)
+			if firstFailed < 0 {
+				firstFailed = i
 			}
 			continue
 		}
-		succeeded++
 		if r.Result.Monetized < cfg.MinProfitUSD {
 			continue
 		}
-		results = append(results, r)
+		ranked = append(ranked, rankKey{profit: r.Result.Monetized, index: i})
 	}
-	if firstErr != nil && succeeded == 0 {
+	*keys = ranked
+	if failed > 0 && failed == len(all) {
 		// Every loop failed — a systemic cause (e.g. a price-map hole);
 		// surface it rather than an empty report. Partial failures are
-		// reported via Failed so callers can decide.
-		return Report{}, firstErr
+		// reported via Failed so callers can decide, and cost no error
+		// formatting.
+		r := &all[firstFailed]
+		return Report{}, fmt.Errorf("scan: loop %s: %w", r.Loop, r.Err)
 	}
 
-	// slices.SortFunc instead of sort.Slice: same order, but no
-	// reflect.Swapper allocation on the per-block path.
-	slices.SortFunc(results, func(a, b Result) int {
-		if a.Result.Monetized != b.Result.Monetized {
-			if a.Result.Monetized > b.Result.Monetized {
-				return -1
-			}
-			return 1
-		}
-		return a.Index - b.Index
-	})
-	if cfg.TopK > 0 && len(results) > cfg.TopK {
-		results = results[:cfg.TopK]
+	ranked = rankTop(ranked, cfg.TopK)
+	results := make([]Result, len(ranked))
+	for j, k := range ranked {
+		results[j] = all[k.index]
 	}
 	if d.degraded && cfg.Metrics != nil {
 		cfg.Metrics.DegradedScans.Inc()
@@ -614,6 +609,46 @@ func assembleReport(d *detection, cfg Config, all []Result, reoptimized, reused 
 		Degraded:         d.degraded,
 		Results:          results,
 	}, nil
+}
+
+// rankKey is one rankable result: its profit and its index in the
+// per-loop result set. Ranking sorts these pointer-free 16-byte keys
+// instead of whole Results, so a swap moves no pointers and needs no
+// write barrier.
+type rankKey struct {
+	profit float64
+	index  int
+}
+
+// compareKeys is the report's order: profit descending (±0 tie), then
+// index. Profits are finite: optimizeOne fails a non-finite one.
+func compareKeys(a, b rankKey) int {
+	if c := cmp.Compare(b.profit, a.profit); c != 0 {
+		return c
+	}
+	return a.index - b.index
+}
+
+// rankTop orders keys in place and returns the best topK of them (all of
+// them when topK is 0): it sorts the first topK keys, then inserts each
+// later key that beats the last kept one. Indices are distinct, so the
+// order is total and the result does not depend on the input order.
+func rankTop(keys []rankKey, topK int) []rankKey {
+	n := len(keys)
+	if topK > 0 && topK < n {
+		n = topK
+	}
+	top := keys[:n]
+	slices.SortFunc(top, compareKeys)
+	for _, k := range keys[n:] {
+		if compareKeys(k, top[n-1]) >= 0 {
+			continue
+		}
+		i, _ := slices.BinarySearchFunc(top, k, compareKeys)
+		copy(top[i+1:], top[i:n-1])
+		top[i] = k
+	}
+	return top
 }
 
 // Run scans the pool set once and returns the ranked batch report.
@@ -640,7 +675,8 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 		m.StageOptimize.Observe(time.Since(t))
 		m.LoopsReoptimized.Add(uint64(len(d.loops)))
 	}
-	rep, err := assembleReport(d, cfg, all, len(d.loops), 0)
+	var keys []rankKey
+	rep, err := assembleReport(d, cfg, all, &keys, len(d.loops), 0)
 	if m != nil && err == nil {
 		m.ScanTotal.Observe(time.Since(start))
 	}

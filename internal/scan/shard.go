@@ -121,46 +121,49 @@ func buildShardPlan(top *topology, nshards int) *shardPlan {
 // shardBase is one shard's captured scan state, immutable once
 // committed: the orientation and (for profitable orientations) the
 // optimized outcome of every cycle the shard owns, indexed by the
-// shard's local cycle order. Clean shards share their shardBase across
-// consecutive baselines — commit replaces only dirty shards.
+// shard's local cycle order. Entries are held by pointer and are
+// themselves immutable, so consecutive baselines share every entry whose
+// loop did not re-optimize. Clean shards share their whole shardBase
+// across consecutive baselines — commit replaces only dirty shards.
 type shardBase struct {
-	orient  []int8
-	entries []deltaEntry
+	orient []int8
+	// entries[lo] is nil when the cycle has no profitable orientation.
+	entries []*deltaEntry
 }
 
 // cloneShardBase returns a mutable copy of a shard's captured state —
-// the copy-on-write step a dirty shard performs before re-orienting.
+// the copy-on-write step a dirty shard performs before re-orienting. It
+// copies the entry pointers, not the entries: the scan replaces the
+// pointers of the cycles it re-optimizes or drops and never writes
+// through one, so the previous baseline stays intact for concurrent
+// scans that snapshotted it.
 func cloneShardBase(sb *shardBase) *shardBase {
-	cp := &shardBase{
-		orient:  make([]int8, len(sb.orient)),
-		entries: make([]deltaEntry, len(sb.entries)),
-	}
-	copy(cp.orient, sb.orient)
-	copy(cp.entries, sb.entries)
-	return cp
+	return &shardBase{orient: slices.Clone(sb.orient), entries: slices.Clone(sb.entries)}
 }
 
 // splitCapture distributes a full scan's global per-cycle state into
 // per-shard baselines following the plan. orient is indexed by global
 // cycle; loopCycle maps loop index → global cycle; all holds the
-// optimization outcome per loop.
+// optimization outcome per loop. The entries live in one slab, one
+// allocation per capture.
 func splitCapture(plan *shardPlan, orient []int8, loopCycle []int, all []Result) []*shardBase {
 	shards := make([]*shardBase, plan.n)
 	for s := 0; s < plan.n; s++ {
 		cs := plan.cycles[s]
 		sb := &shardBase{
 			orient:  make([]int8, len(cs)),
-			entries: make([]deltaEntry, len(cs)),
+			entries: make([]*deltaEntry, len(cs)),
 		}
 		for lo, ci := range cs {
 			sb.orient[lo] = orient[ci]
 		}
 		shards[s] = sb
 	}
+	slab := make([]deltaEntry, len(loopCycle))
 	for li, ci := range loopCycle {
-		s, lo := plan.shardOf[ci], plan.localOf[ci]
-		r := all[li]
-		shards[s].entries[lo] = deltaEntry{loop: r.Loop, result: r.Result, err: r.Err}
+		r := &all[li]
+		slab[li] = deltaEntry{loop: r.Loop, result: r.Result, err: r.Err}
+		shards[plan.shardOf[ci]].entries[plan.localOf[ci]] = &slab[li]
 	}
 	return shards
 }
