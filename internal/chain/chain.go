@@ -19,7 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"arbloop/internal/amm"
@@ -39,26 +40,38 @@ const DefaultBlockIntervalSeconds = 10
 
 // poolState is the on-chain reserve record of one pair.
 type poolState struct {
+	id                 string
 	token0, token1     string
 	reserve0, reserve1 *big.Int
 	feeBps             int64
+	// rev is the state's change counter at the pool's last reserve change
+	// (see PoolView.Revision).
+	rev uint64
 }
 
 func (p *poolState) clone() *poolState {
 	return &poolState{
+		id:       p.id,
 		token0:   p.token0,
 		token1:   p.token1,
 		reserve0: new(big.Int).Set(p.reserve0),
 		reserve1: new(big.Int).Set(p.reserve1),
 		feeBps:   p.feeBps,
+		rev:      p.rev,
 	}
 }
 
 // State is the chain state: pools plus a block clock. Safe for concurrent
 // use.
 type State struct {
-	mu        sync.RWMutex
-	pools     map[string]*poolState
+	mu    sync.RWMutex
+	pools map[string]*poolState
+	// sorted holds the records of pools in ID order, kept sorted as pools
+	// are added, so ordered reads never sort.
+	sorted []*poolState
+	// rev counts reserve changes across all pools: AddPool, Swap and each
+	// committed transaction take the next value.
+	rev       uint64
 	height    int64
 	timestamp int64
 	interval  int64
@@ -96,13 +109,19 @@ func (s *State) AddPool(id, token0, token1 string, reserve0, reserve1 *big.Int, 
 	if _, ok := s.pools[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicatePair, id)
 	}
-	s.pools[id] = &poolState{
+	s.rev++
+	p := &poolState{
+		id:       id,
 		token0:   token0,
 		token1:   token1,
 		reserve0: new(big.Int).Set(reserve0),
 		reserve1: new(big.Int).Set(reserve1),
 		feeBps:   feeBps,
+		rev:      s.rev,
 	}
+	s.pools[id] = p
+	i, _ := slices.BinarySearchFunc(s.sorted, id, func(q *poolState, id string) int { return strings.Compare(q.id, id) })
+	s.sorted = slices.Insert(s.sorted, i, p)
 	return nil
 }
 
@@ -251,9 +270,12 @@ func (s *State) executeLocked(tx Tx) Receipt {
 	}
 	borrowBal.Sub(borrowBal, tx.Amount)
 
-	// Commit staged pools.
+	// Commit staged reserves into the live records, which the ID-ordered
+	// index shares.
+	s.rev++
 	for id, p := range staged {
-		s.pools[id] = p
+		live := s.pools[id]
+		live.reserve0, live.reserve1, live.rev = p.reserve0, p.reserve1, s.rev
 	}
 	profit := make(map[string]*big.Int)
 	for tok, bal := range balances {
@@ -313,12 +335,46 @@ func (s *State) sealBlock(txs []Tx) ([]Receipt, int64, []func(int64)) {
 func (s *State) PoolIDs() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.pools))
-	for id := range s.pools {
-		out = append(out, id)
+	out := make([]string, len(s.sorted))
+	for i, p := range s.sorted {
+		out[i] = p.id
 	}
-	sort.Strings(out)
 	return out
+}
+
+// PoolView is one pool as VisitPools presents it. Reserve0 and Reserve1
+// are the state's own integers, valid only during the callback: read
+// them there, and never retain or modify them.
+type PoolView struct {
+	ID, Token0, Token1 string
+	Reserve0, Reserve1 *big.Int
+	FeeBps             int64
+	// Revision changes whenever the pool's reserves do (a Swap or a
+	// committed transaction touching the pool), never otherwise, and is
+	// never reused: an unchanged (ID, Revision) means unchanged reserves.
+	// A reverted transaction leaves it alone.
+	Revision uint64
+}
+
+// VisitPools calls fn on every pool in ID order under a single read
+// lock, so one visit sees one state: no swap, transaction or block lands
+// between two pools. It stops at fn's first error and returns it. fn
+// must not call back into s — a writer queued on the lock would deadlock
+// the nested read.
+func (s *State) VisitPools(fn func(PoolView) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, p := range s.sorted {
+		err := fn(PoolView{
+			ID: p.id, Token0: p.token0, Token1: p.token1,
+			Reserve0: p.reserve0, Reserve1: p.reserve1,
+			FeeBps: p.feeBps, Revision: p.rev,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PoolTokens returns the token pair of a pool.
@@ -372,5 +428,7 @@ func (s *State) Swap(pairID, tokenIn string, amountIn *big.Int) (*big.Int, error
 	}
 	rin.Add(rin, amountIn)
 	rout.Sub(rout, out)
+	s.rev++
+	p.rev = s.rev
 	return out, nil
 }

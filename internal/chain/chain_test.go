@@ -3,6 +3,7 @@ package chain
 import (
 	"errors"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -337,5 +338,95 @@ func TestOnBlockHook(t *testing.T) {
 	s.ExecuteTx(Tx{Borrow: "X", Amount: bi(1), Steps: []SwapStep{{PairID: "p1", TokenIn: "X"}}})
 	if len(got) != 2 {
 		t.Errorf("ExecuteTx notified: %v", got)
+	}
+}
+
+// revisions visits the state and returns each pool's revision by ID,
+// checking the visit runs in ID order.
+func revisions(t *testing.T, s *State) map[string]uint64 {
+	t.Helper()
+	revs := map[string]uint64{}
+	last := ""
+	if err := s.VisitPools(func(v PoolView) error {
+		if v.ID <= last {
+			t.Fatalf("VisitPools visited %q after %q", v.ID, last)
+		}
+		last = v.ID
+		revs[v.ID] = v.Revision
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return revs
+}
+
+// VisitPools walks pools in ID order whatever order they were added in,
+// and a pool's revision moves exactly when its reserves do: a swap or a
+// committed transaction moves the pools it touched to a revision never
+// seen before; a reverted transaction and an empty block move nothing.
+func TestVisitPoolsOrderAndRevisions(t *testing.T) {
+	s := NewState(0)
+	for _, id := range []string{"p3", "p1", "p2"} {
+		if err := s.AddPool(id, "X", "Y", bi(1_000_000), bi(2_000_000), 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids := s.PoolIDs(); len(ids) != 3 || ids[0] != "p1" || ids[1] != "p2" || ids[2] != "p3" {
+		t.Fatalf("PoolIDs = %v", ids)
+	}
+	s = paperState(t)
+	seen := map[uint64]bool{}
+	prev := revisions(t, s)
+	for _, r := range prev {
+		seen[r] = true
+	}
+	step := func(what string, moved ...string) {
+		t.Helper()
+		cur := revisions(t, s)
+		for id, r := range cur {
+			want := prev[id]
+			if slices.Contains(moved, id) {
+				if r == want || seen[r] {
+					t.Errorf("%s: %s revision %d, want a new one (was %d)", what, id, r, want)
+				}
+			} else if r != want {
+				t.Errorf("%s: %s revision %d, want %d unchanged", what, id, r, want)
+			}
+		}
+		for _, r := range cur {
+			seen[r] = true
+		}
+		prev = cur
+	}
+
+	if _, err := s.Swap("p2", "Y", bi(1_000)); err != nil {
+		t.Fatal(err)
+	}
+	step("swap", "p2")
+	if rc := s.ExecuteTx(Tx{Borrow: "X", Amount: bi(10_000_000), Steps: []SwapStep{
+		{PairID: "p3", TokenIn: "X"}, {PairID: "p2", TokenIn: "Z"}, {PairID: "p1", TokenIn: "Y"},
+	}}); rc.OK {
+		t.Fatal("losing tx committed")
+	}
+	step("reverted tx")
+	if rc := s.ExecuteTx(Tx{Borrow: "X", Amount: bi(27_000_000), Steps: []SwapStep{
+		{PairID: "p1", TokenIn: "X"}, {PairID: "p2", TokenIn: "Y"},
+	}}); rc.OK {
+		t.Fatal("unrepaid tx committed")
+	}
+	step("tx reverted after a staged hop")
+	if rc := s.ExecuteTx(Tx{Borrow: "X", Amount: bi(27_000_000), Steps: []SwapStep{
+		{PairID: "p1", TokenIn: "X"}, {PairID: "p2", TokenIn: "Y"}, {PairID: "p3", TokenIn: "Z"},
+	}}); !rc.OK {
+		t.Fatalf("tx reverted: %v", rc.Err)
+	}
+	step("committed tx", "p1", "p2", "p3")
+	s.Block(nil)
+	step("empty block")
+
+	stop := errors.New("stop")
+	visits := 0
+	if err := s.VisitPools(func(PoolView) error { visits++; return stop }); !errors.Is(err, stop) || visits != 1 {
+		t.Errorf("VisitPools = %v after %d visits, want the callback's error after 1", err, visits)
 	}
 }

@@ -22,8 +22,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -77,8 +77,9 @@ type Update struct {
 	// Height is the source's block height when a height probe is
 	// configured (WithHeightProbe); 0 otherwise.
 	Height int64
-	// Pools is the point-in-time pool set. The slice and pools are owned
-	// by the consumers collectively; treat them as read-only.
+	// Pools is the point-in-time pool set in canonical order
+	// (scan.Canonicalize: by pool ID). The slice and pools are owned by
+	// the consumers collectively; treat them as read-only.
 	Pools []*amm.Pool
 	// Fingerprint is the topology fingerprint of Pools (scan.Fingerprint).
 	Fingerprint string
@@ -240,6 +241,9 @@ type Watcher struct {
 	// re-admission (counted) and clears the entry. Guarded by refreshMu:
 	// quarantine only runs inside Refresh.
 	quarantinedIDs map[string]struct{}
+	// seenIDs is quarantine's duplicate-ID set, cleared and refilled by
+	// every refresh. Guarded by refreshMu.
+	seenIDs map[string]struct{}
 
 	mu     sync.Mutex
 	subs   map[int]chan Update
@@ -336,7 +340,23 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 			return Update{}, ErrNoValidPools
 		}
 	}
-	fp := scan.Fingerprint(pools)
+	// Only Refresh writes w.last, under refreshMu, so it is read here
+	// without w.mu. The fingerprint is hashed only when the canonical
+	// topology differs from the last update's.
+	pools = scan.Canonicalize(pools)
+	prev := w.last
+	u := Update{
+		Version:         prev.Version + 1,
+		Height:          height,
+		Pools:           pools,
+		Fingerprint:     prev.Fingerprint,
+		TopologyChanged: prev.Version == 0 || !sameTopology(prev.Pools, pools),
+	}
+	if u.TopologyChanged {
+		u.Fingerprint = scan.Fingerprint(pools)
+	} else {
+		u.ChangedPools = changedReserves(prev.Pools, pools)
+	}
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -346,16 +366,6 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 	w.refreshes.Inc()
 	w.consecFails.Set(0)
 	w.lastSuccessNano.Set(time.Now().UnixNano())
-	u := Update{
-		Version:         w.last.Version + 1,
-		Height:          height,
-		Pools:           pools,
-		Fingerprint:     fp,
-		TopologyChanged: w.last.Version == 0 || fp != w.last.Fingerprint,
-	}
-	if !u.TopologyChanged {
-		u.ChangedPools = diffReserves(w.last.Pools, pools)
-	}
 	w.last = u
 	for _, ch := range w.subs {
 		SendCoalesce(ch, u)
@@ -377,7 +387,11 @@ func (w *Watcher) Refresh(ctx context.Context) (Update, error) {
 // Duplicate IDs are dropped but never remembered: their first, valid copy
 // kept the ID in the set throughout.
 func (w *Watcher) quarantine(pools []*amm.Pool) ([]*amm.Pool, int) {
-	seen := make(map[string]struct{}, len(pools))
+	if w.seenIDs == nil {
+		w.seenIDs = make(map[string]struct{}, len(pools))
+	}
+	seen := w.seenIDs
+	clear(seen)
 	var kept []*amm.Pool
 	dropped := 0
 	for i, p := range pools {
@@ -420,23 +434,35 @@ func (w *Watcher) quarantine(pools []*amm.Pool) ([]*amm.Pool, int) {
 	return kept, dropped
 }
 
-// diffReserves returns the sorted IDs of pools whose reserves differ
-// between two views of the same topology (equal fingerprints guarantee
-// matching pool sets; order may differ, so the diff is by ID). The result
-// is non-nil even when empty: "nothing changed" is a known dirty set.
-func diffReserves(prev, cur []*amm.Pool) []string {
-	byID := make(map[string]*amm.Pool, len(prev))
-	for _, p := range prev {
-		byID[p.ID] = p
+// sameTopology reports whether two canonical pool sets hold the same
+// pools at the same positions — equal IDs, token pairs and fee bits,
+// everything scan.Fingerprint hashes — so equal sets share a fingerprint
+// without hashing either.
+func sameTopology(prev, cur []*amm.Pool) bool {
+	if len(prev) != len(cur) {
+		return false
 	}
-	changed := make([]string, 0)
-	for _, p := range cur {
-		q, ok := byID[p.ID]
-		if !ok || q.Reserve0 != p.Reserve0 || q.Reserve1 != p.Reserve1 {
+	for i, p := range cur {
+		q := prev[i]
+		if q != p && (q.ID != p.ID || q.Token0 != p.Token0 || q.Token1 != p.Token1 ||
+			math.Float64bits(q.Fee) != math.Float64bits(p.Fee)) {
+			return false
+		}
+	}
+	return true
+}
+
+// changedReserves returns, in ID order, the IDs of pools whose reserves
+// differ between two canonical views of one topology (sameTopology holds,
+// so position i is the same pool in both). The result is non-nil even
+// when empty: "nothing changed" is a known dirty set.
+func changedReserves(prev, cur []*amm.Pool) []string {
+	changed := []string{}
+	for i, p := range cur {
+		if q := prev[i]; q != p && (q.Reserve0 != p.Reserve0 || q.Reserve1 != p.Reserve1) {
 			changed = append(changed, p.ID)
 		}
 	}
-	sort.Strings(changed)
 	return changed
 }
 

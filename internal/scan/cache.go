@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -68,25 +67,26 @@ func poolLess(a, b *amm.Pool) bool {
 // enumerated against one are valid against the other.
 func Fingerprint(pools []*amm.Pool) string {
 	pools = Canonicalize(pools)
-	h := sha256.New()
-	var buf [8]byte
+	n := 0
 	for _, p := range pools {
-		writeField(h, p.ID)
-		writeField(h, p.Token0)
-		writeField(h, p.Token1)
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Fee))
-		h.Write(buf[:])
+		n += 4*8 + len(p.ID) + len(p.Token0) + len(p.Token1)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	buf := make([]byte, 0, n)
+	for _, p := range pools {
+		buf = appendField(buf, p.ID)
+		buf = appendField(buf, p.Token0)
+		buf = appendField(buf, p.Token1)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Fee))
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
-// writeField hashes a length-prefixed string so adjacent fields cannot
+// appendField appends a length-prefixed string so adjacent fields cannot
 // alias ("ab"+"c" vs "a"+"bc").
-func writeField(w io.Writer, s string) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-	w.Write(buf[:])
-	io.WriteString(w, s)
+func appendField(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // topology is one cached enumeration result plus the inverted indexes

@@ -167,3 +167,47 @@ func TestMaxCyclesCapsEnumeration(t *testing.T) {
 		t.Errorf("unlimited scan failed: %v", err)
 	}
 }
+
+// fingerprintFixture is a fixed pool set for the golden digest: out of
+// canonical order, with fields that would alias without length prefixes
+// ("ab"+"c" against "a"+"bc") and a fee that is not the default.
+func fingerprintFixture(t *testing.T) []*amm.Pool {
+	t.Helper()
+	pools := append(paperPools(t)[1:], paperPools(t)[0])
+	for _, p := range []*amm.Pool{
+		amm.MustNewPool("ab", "c", "X", 5, 7, amm.DefaultFee),
+		amm.MustNewPool("a", "bc", "X", 5, 7, 0.0005),
+	} {
+		pools = append(pools, p)
+	}
+	return pools
+}
+
+// TestFingerprintGolden pins the digest of fixed pool sets: a topology
+// cache keyed by Fingerprint must keep its keys when the hashing code
+// changes.
+func TestFingerprintGolden(t *testing.T) {
+	const (
+		fixture = "0477334a481774fb9a22c9e02972f2b0cc823c3ed433f6bbf0df6e47e5a98c7b"
+		sixth   = "c9189a67f6de98ae82bf83590bd516ed751abefd04a9018bacd49e090f3217f6"
+	)
+	if got := Fingerprint(fingerprintFixture(t)); got != fixture {
+		t.Errorf("fixture fingerprint = %s, want %s", got, fixture)
+	}
+	pools, _ := deltaMarket(t)
+	if got := Fingerprint(pools); got != sixth {
+		t.Errorf("§VI market fingerprint = %s, want %s", got, sixth)
+	}
+}
+
+// TestFingerprintAllocBudget pins Fingerprint to one hashing buffer: the
+// fields are appended into it and hashed with one sha256.Sum256. Feeding
+// a hash.Hash field by field made the length prefix's stack buffer
+// escape, one allocation per field (1,252 on the §VI market).
+func TestFingerprintAllocBudget(t *testing.T) {
+	const budget = 4
+	pools, _ := deltaMarket(t)
+	if allocs := testing.AllocsPerRun(50, func() { Fingerprint(pools) }); allocs > budget {
+		t.Errorf("Fingerprint of %d pools allocates %.0f times, budget %d", len(pools), allocs, budget)
+	}
+}

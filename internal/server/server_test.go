@@ -167,6 +167,17 @@ func TestHealthzEndpoint(t *testing.T) {
 // arrive or the context expires.
 func readEvents(ctx context.Context, t *testing.T, url string, n int, ready chan<- struct{}) []distrib.ReportJSON {
 	t.Helper()
+	// ready fires once the first event is read, not at the headers: the
+	// handler reads the frame it replays after sending the headers, so a
+	// publish in between would be the first event instead. It also fires
+	// on any early return, so a waiting caller never hangs.
+	signal := func() {
+		if ready != nil {
+			close(ready)
+			ready = nil
+		}
+	}
+	defer signal()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/stream", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -178,9 +189,6 @@ func readEvents(ctx context.Context, t *testing.T, url string, n int, ready chan
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Errorf("stream content-type = %q", ct)
-	}
-	if ready != nil {
-		close(ready)
 	}
 	var out []distrib.ReportJSON
 	sc := bufio.NewScanner(resp.Body)
@@ -195,6 +203,7 @@ func readEvents(ctx context.Context, t *testing.T, url string, n int, ready chan
 			t.Fatal(err)
 		}
 		out = append(out, rep)
+		signal()
 	}
 	return out
 }
@@ -217,8 +226,8 @@ func TestStreamDeliversPublishedReports(t *testing.T) {
 	go func() { done <- readEvents(ctx, t, ts.URL, 3, ready) }()
 
 	<-ready
-	// Publish until the client has collected three events; the subscriber
-	// registers only after its first event arrives, so keep feeding.
+	// Publish until the client has collected three events; the stream
+	// coalesces to the latest frame, so keep feeding.
 	go func() {
 		for v := uint64(2); ctx.Err() == nil; v++ {
 			if err := srv.Publish(sampleReport(v, int64(v)), time.Millisecond); err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync"
 
 	"arbloop/internal/amm"
 	"arbloop/internal/cex"
@@ -19,8 +20,10 @@ import (
 )
 
 // PoolSource supplies the current set of liquidity pools. Implementations
-// must be safe for concurrent use; each call returns an independent
-// point-in-time view (the scanner never mutates the returned pools).
+// must be safe for concurrent use; each call returns a fresh slice
+// holding one point-in-time view. The returned pools are immutable —
+// nothing downstream mutates them — so a source may hand back the same
+// *amm.Pool pointers across calls for pools that did not change.
 type PoolSource interface {
 	// Pools returns analytic constant-product pools for the current state.
 	Pools(ctx context.Context) ([]*amm.Pool, error)
@@ -94,12 +97,28 @@ func (s *SnapshotSource) Prices(ctx context.Context, symbols []string) (map[stri
 }
 
 // ChainSource adapts the integer chain simulator to PoolSource, converting
-// big.Int reserves into whole-token float64 pools at a fixed scale. The
-// underlying state is read under its own lock, so the adapter is safe for
-// concurrent use and each Pools call sees one consistent block.
+// big.Int reserves into whole-token float64 pools at a fixed scale. Each
+// Pools call reads the whole state under one read lock
+// (chain.State.VisitPools), so it sees one consistent block: a committed
+// multi-pool transaction is either in every pool of the view or in none.
+// Conversions are reused by revision: a pool whose chain revision has not
+// changed since the previous call is handed back as the same immutable
+// *amm.Pool, so a block costs one conversion per pool it moved. Safe for
+// concurrent use; calls are serialized.
 type ChainSource struct {
 	state *chain.State
 	scale float64
+
+	// mu guards last, the previous call's conversions in ID order, and
+	// next, the buffer the current call fills before they swap.
+	mu         sync.Mutex
+	last, next []converted
+}
+
+// converted is one pool's conversion, valid while its revision holds.
+type converted struct {
+	rev  uint64
+	pool *amm.Pool
 }
 
 var _ PoolSource = (*ChainSource)(nil)
@@ -118,30 +137,47 @@ func (c *ChainSource) Pools(ctx context.Context) ([]*amm.Pool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ids := c.state.PoolIDs()
-	pools := make([]*amm.Pool, 0, len(ids))
-	for _, id := range ids {
-		t0, t1, err := c.state.PoolTokens(id)
-		if err != nil {
-			return nil, err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pools := make([]*amm.Pool, 0, len(c.last))
+	next, j := c.next[:0], 0
+	err := c.state.VisitPools(func(v chain.PoolView) error {
+		// Both lists are in ID order, so one cursor finds the previous
+		// conversion of each pool; pools added since then have none.
+		for j < len(c.last) && c.last[j].pool.ID < v.ID {
+			j++
 		}
-		r0, r1, err := c.state.Reserves(id)
-		if err != nil {
-			return nil, err
+		var p *amm.Pool
+		if j < len(c.last) && c.last[j].pool.ID == v.ID && c.last[j].rev == v.Revision {
+			p = c.last[j].pool
+		} else {
+			var err error
+			if p, err = c.convert(v); err != nil {
+				return err
+			}
 		}
-		feeBps, err := c.state.PoolFee(id)
-		if err != nil {
-			return nil, err
-		}
-		f0, _ := new(big.Float).SetInt(r0).Float64()
-		f1, _ := new(big.Float).SetInt(r1).Float64()
-		pool, err := amm.NewPool(id, t0, t1, f0/c.scale, f1/c.scale, float64(feeBps)/amm.FeeDenominator)
-		if err != nil {
-			return nil, fmt.Errorf("source: pool %s: %w", id, err)
-		}
-		pools = append(pools, pool)
+		next = append(next, converted{rev: v.Revision, pool: p})
+		pools = append(pools, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	c.last, c.next = next, c.last
 	return pools, nil
+}
+
+// convert builds the analytic pool of one chain pool. Each reserve goes
+// through an exact big.Float, so the float64 is the integer rounded once
+// to nearest, at any magnitude.
+func (c *ChainSource) convert(v chain.PoolView) (*amm.Pool, error) {
+	f0, _ := new(big.Float).SetInt(v.Reserve0).Float64()
+	f1, _ := new(big.Float).SetInt(v.Reserve1).Float64()
+	pool, err := amm.NewPool(v.ID, v.Token0, v.Token1, f0/c.scale, f1/c.scale, float64(v.FeeBps)/amm.FeeDenominator)
+	if err != nil {
+		return nil, fmt.Errorf("source: pool %s: %w", v.ID, err)
+	}
+	return pool, nil
 }
 
 // MirrorToChain registers every pool of a snapshot on a chain state,
