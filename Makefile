@@ -58,12 +58,11 @@ bench-server:
 bench-telemetry:
 	BENCH_JSON=1 $(GO) test -run 'TestTelemetry(ScanAllocs|Bench)' -count=1 -v .
 
-# Convex solver smoke: the exact solve (strategy.Convex), plain and
-# through ConvexWarm, vs the barrier method (convexopt.Minimize) on the
-# problems it stages. Tiny run counts keep it CI-cheap; its job is to
-# prove the exact solve compiles and runs.
+# Convex solver smoke: the exact solve (strategy.Convex) vs the barrier
+# method (convexopt.Minimize) on the problems it stages. Tiny run counts
+# keep it CI-cheap; its job is to prove the exact solve compiles and runs.
 bench-convex:
-	$(GO) test -bench 'BenchmarkConvex(Generic|Structured|Warm)' -benchtime 20x -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkConvex(Generic|Structured)' -benchtime 20x -benchmem -run '^$$' .
 
 # Fault-layer zero-overhead guard: with chaos injection disabled, the
 # breaker closed, and panic containment armed, the steady-state delta

@@ -96,6 +96,9 @@ type (
 	// TradePlan is the per-hop flow of a result.
 	TradePlan = strategy.TradePlan
 	// ConvexOptions is ConvexStrategy's options; ColdStart has no effect.
+	//
+	// Deprecated: no option changes the exact solve. The name remains
+	// because the perfbench module still sets ColdStart.
 	ConvexOptions = strategy.ConvexOptions
 )
 
@@ -103,12 +106,6 @@ type (
 // must be safe for concurrent use; the Scanner calls one Strategy value
 // from many workers.
 type Strategy = strategy.Strategy
-
-// WarmStarter is the optional Strategy extension the delta-scan path
-// uses: strategies implementing it re-optimize dirty loops from the
-// previous block's captured result instead of cold-starting.
-// ConvexStrategy implements it and ignores the previous result.
-type WarmStarter = strategy.WarmStarter
 
 // The paper's strategies as Strategy implementations.
 type (
@@ -290,9 +287,6 @@ var (
 	// Convex solves the paper's problem (8) exactly: a KKT-certified
 	// closed form.
 	Convex = strategy.Convex
-	// ConvexWarm returns Convex's result bit for bit; its previous
-	// result is ignored.
-	ConvexWarm = strategy.ConvexWarm
 	// ConvexRisky solves the shorting-allowed relaxation the paper
 	// mentions in §IV but declines to evaluate (extension).
 	ConvexRisky = strategy.ConvexRisky

@@ -294,9 +294,7 @@ func BenchmarkAblationProblem8(b *testing.B) {
 // run: the barrier method (convexopt.Minimize: closure constraints,
 // O(n³) Cholesky) on the problem and interior start
 // experiments.StageBarrier stages, and the strategy's exact solve
-// (strategy.Convex: a KKT-certified closed form, pooled scratch), plain
-// and through ConvexWarm — the delta-scan entry point, which ignores its
-// previous result.
+// (strategy.Convex: a KKT-certified closed form, pooled scratch).
 
 func benchmarkConvexGeneric(b *testing.B, length int) {
 	loop, prices, err := experiments.SyntheticLoop(length)
@@ -346,23 +344,6 @@ func BenchmarkConvexGenericLen10(b *testing.B) {
 
 func BenchmarkConvexStructuredLen10(b *testing.B) {
 	benchmarkConvexStructured(b, 10)
-}
-
-func BenchmarkConvexWarmLen3(b *testing.B) {
-	loop, prices, err := experiments.SyntheticLoop(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev, err := strategy.Convex(loop, prices)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := strategy.ConvexWarm(loop, prices, &prev); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAblationCycleDFS enumerates length-3 cycles by bounded DFS.

@@ -263,8 +263,8 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	strategy.Telemetry().Register(srv.Telemetry())
 
 	// Durable opportunity log: prime the scanner from the recovered tail
-	// *before* any scan runs (dirtiness EMAs + convex warm starts resume
-	// where the last process stopped), then open the log for appending.
+	// *before* any scan runs (the dirtiness EMAs resume where the last
+	// process stopped), then open the log for appending.
 	// Opening is the one fatal oplog error — a service asked to be
 	// durable must not start silently non-durable; once running, disk
 	// faults only degrade healthz (see oplog.Log).
@@ -366,7 +366,6 @@ func serve(ctx context.Context, cfg serveConfig) error {
 					Height:     vr.Height,
 					UnixNano:   time.Now().UnixNano(),
 					DirtyPools: vr.ChangedPools,
-					Warm:       warmLoops(vr.Report),
 					Report:     rep,
 				})
 			}
@@ -442,15 +441,9 @@ func serve(ctx context.Context, cfg serveConfig) error {
 // small enough to keep startup instant.
 const oplogTail = 64
 
-// maxWarmLoops caps how many of a report's ranked plans one oplog entry
-// records as warm starts — the head of the ranking is what a restart
-// re-detects first, and entries stay small.
-const maxWarmLoops = 32
-
-// primeScannerFromOplog seeds the scanner from the durable log's
-// recovered tail: per-pool dirtiness priors from how often each pool
-// appeared dirty across the tail entries, and convex warm starts from
-// the last entry's recorded plans. Priming is strictly best-effort — an
+// primeScannerFromOplog seeds the scanner's per-pool dirtiness priors
+// from the durable log's recovered tail: how often each pool appeared
+// dirty across the tail entries. Priming is strictly best-effort — an
 // unreadable or empty log starts the scanner cold, never fails serve.
 func primeScannerFromOplog(dir string, sc *arbloop.Scanner, logf func(format string, a ...any)) {
 	entries, st, err := oplog.Tail(dir, oplogTail)
@@ -474,42 +467,12 @@ func primeScannerFromOplog(dir string, sc *arbloop.Scanner, logf func(format str
 		}
 		sc.PrimeDirtiness(priors)
 	}
-	last := entries[len(entries)-1]
-	hints := make([]arbloop.WarmHint, 0, len(last.Warm))
-	for _, wl := range last.Warm {
-		hints = append(hints, arbloop.WarmHint{Tokens: wl.Tokens, Inputs: wl.Inputs})
-	}
-	sc.PrimeWarmStarts(hints)
 	note := ""
 	if st.Truncated {
 		note = fmt.Sprintf(", torn tail truncated at %s+%d", st.TruncatedSegment, st.TruncatedOffset)
 	}
-	logf("oplog: primed from %d recovered entries across %d segments%s: %d pool priors, %d warm starts",
-		st.Entries, st.Segments, note, len(counts), len(hints))
-}
-
-// warmLoops extracts the warm-start records of one published report: the
-// ranked plans' token cycles and per-hop inputs, in ranking order,
-// capped at maxWarmLoops.
-func warmLoops(rep arbloop.ScanReport) []oplog.WarmLoop {
-	n := len(rep.Results)
-	if n == 0 {
-		return nil
-	}
-	if n > maxWarmLoops {
-		n = maxWarmLoops
-	}
-	out := make([]oplog.WarmLoop, 0, n)
-	for _, r := range rep.Results[:n] {
-		loop := r.Result.Loop
-		if loop == nil || len(r.Result.Plan.Inputs) != loop.Len() {
-			continue
-		}
-		inputs := make([]float64, len(r.Result.Plan.Inputs))
-		copy(inputs, r.Result.Plan.Inputs)
-		out = append(out, oplog.WarmLoop{Tokens: loop.Tokens(), Inputs: inputs})
-	}
-	return out
+	logf("oplog: primed from %d recovered entries across %d segments%s: %d pool priors",
+		st.Entries, st.Segments, note, len(counts))
 }
 
 // bestProfit returns the top-ranked profit of a report (0 when empty).

@@ -18,8 +18,8 @@ import (
 
 // Entry is one recorded block: the published wire report plus the
 // scanner-side context replay can't reconstruct from the wire form —
-// which pools traded (dirtiness priming) and the per-loop flow plans
-// (convex warm-start priming).
+// which pools traded (dirtiness priming). Entries that still carry the
+// warm field, as serve wrote them before, decode unchanged.
 type Entry struct {
 	// Version and Height are the feed coordinates of the block.
 	Version uint64 `json:"version"`
@@ -29,10 +29,10 @@ type Entry struct {
 	// DirtyPools lists the pools whose reserves moved into this block
 	// (nil on full captures, where the dirty set is unknown).
 	DirtyPools []string `json:"dirty_pools,omitempty"`
-	// Warm carries each ranked loop's token cycle and per-hop input
-	// flows — the state a restarted scanner feeds to WarmStarter
-	// strategies. The wire report intentionally omits per-hop plans, so
-	// they ride here.
+	// Warm carries ranked loops' token cycles and per-hop inputs.
+	//
+	// Deprecated: nothing reads it, and serve no longer writes it. It
+	// remains because the perfbench module still fills it.
 	Warm []WarmLoop `json:"warm,omitempty"`
 	// Report is the block's published wire report, verbatim — replay
 	// re-serves it through the distribution tier unchanged.
@@ -41,6 +41,8 @@ type Entry struct {
 
 // WarmLoop is one loop's recorded flow plan: Inputs[i] is the amount of
 // Tokens[i] put into hop i.
+//
+// Deprecated: the element type of Entry.Warm, kept with it.
 type WarmLoop struct {
 	Tokens []string  `json:"tokens"`
 	Inputs []float64 `json:"inputs"`

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -19,10 +21,6 @@ func testEntry(v uint64) Entry {
 		Height:     int64(100 + v),
 		UnixNano:   int64(v) * 1_000,
 		DirtyPools: []string{"P1", "P2"},
-		Warm: []WarmLoop{{
-			Tokens: []string{"A", "B", "C"},
-			Inputs: []float64{1.5, 2.5, 3.5},
-		}},
 		Report: distrib.ReportJSON{
 			Version:  v,
 			Height:   int64(100 + v),
@@ -88,13 +86,75 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		if e.Version != want.Version || e.Height != want.Height {
 			t.Fatalf("entry %d = v%d h%d, want v%d h%d", i, e.Version, e.Height, want.Version, want.Height)
 		}
-		if len(e.Warm) != 1 || len(e.Warm[0].Inputs) != 3 || e.Warm[0].Inputs[1] != 2.5 {
-			t.Fatalf("entry %d warm state corrupted: %+v", i, e.Warm)
+		if !slices.Equal(e.DirtyPools, want.DirtyPools) {
+			t.Fatalf("entry %d dirty pools = %v, want %v", i, e.DirtyPools, want.DirtyPools)
 		}
 		if len(e.Report.Results) != 1 || e.Report.Results[0].Loop != "A->B->C->A" {
 			t.Fatalf("entry %d report corrupted: %+v", i, e.Report)
 		}
 	}
+}
+
+// oldWarmPayload is an entry as serve wrote it while it still recorded
+// each ranked loop's plan in a "warm" field. Written out as bytes, not
+// encoded from Entry, so the test keeps guarding old logs whatever
+// becomes of Entry's fields.
+const oldWarmPayload = `{"version":7,"height":107,"unix_nano":7000,"dirty_pools":["P1","P2"],` +
+	`"warm":[{"tokens":["A","B","C"],"inputs":[1.5,2.5,3.5]},{"tokens":["B","C","D"],"inputs":[0.25,0.5,0.75]}],` +
+	`"report":{"version":7,"height":107,"strategy":"ConvexOptimization","parallelism":2,"tokens":4,"pools":5,` +
+	`"cycles_examined":3,"loops_detected":2,"failed":0,"topology_cache_hit":true,"loops_reoptimized":1,` +
+	`"loops_reused":1,"shards_scanned":1,"degraded":false,"results":[{"index":0,"loop":"A->B->C->A",` +
+	`"strategy":"ConvexOptimization","profit_usd":8.75,"net_tokens":{"A":0.5}}]}}`
+
+// TestOldWarmSegmentReplays: a segment holding an entry with the warm
+// field replays, through Replay and Tail, with its version, height,
+// dirty pools and report intact.
+func TestOldWarmSegmentReplays(t *testing.T) {
+	dir := t.TempDir()
+	seg := appendRecord([]byte(segMagic), []byte(oldWarmPayload))
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := distrib.ReportJSON{
+		Version: 7, Height: 107, Strategy: "ConvexOptimization", Parallelism: 2,
+		Tokens: 4, Pools: 5, CyclesExamined: 3, LoopsDetected: 2,
+		TopologyCacheHit: true, LoopsReoptimized: 1, LoopsReused: 1, ShardsScanned: 1,
+		Results: []distrib.ResultJSON{{
+			Index: 0, Loop: "A->B->C->A", Strategy: "ConvexOptimization",
+			ProfitUSD: 8.75, NetTokens: map[string]float64{"A": 0.5},
+		}},
+	}
+	check := func(how string, entries []Entry, st ReplayStats) {
+		t.Helper()
+		if st.Truncated || st.Entries != 1 || len(entries) != 1 {
+			t.Fatalf("%s: %d entries, stats %+v; want the one record, untruncated", how, len(entries), st)
+		}
+		e := entries[0]
+		if e.Version != 7 || e.Height != 107 || e.UnixNano != 7000 {
+			t.Errorf("%s: entry v%d h%d t%d, want v7 h107 t7000", how, e.Version, e.Height, e.UnixNano)
+		}
+		if !slices.Equal(e.DirtyPools, []string{"P1", "P2"}) {
+			t.Errorf("%s: dirty pools %v, want [P1 P2]", how, e.DirtyPools)
+		}
+		if !reflect.DeepEqual(e.Report, want) {
+			t.Errorf("%s: report\n%+v\nwant\n%+v", how, e.Report, want)
+		}
+	}
+
+	var replayed []Entry
+	st, err := Replay(dir, func(e Entry) error {
+		replayed = append(replayed, e)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Replay", replayed, st)
+	tail, st, err := Tail(dir, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Tail", tail, st)
 }
 
 func TestReopenAppendsAfterExistingSegments(t *testing.T) {

@@ -5,9 +5,9 @@
 //
 //   - replay — `arbloop replay <dir>` re-serves recorded history through
 //     the distribution tier instead of regenerating synthetic markets;
-//   - priming — a restarted `serve` reads the log tail to seed per-pool
-//     dirtiness EMAs and convex warm-start flows, skipping the cold-scan
-//     cliff.
+//   - priming — a restarted `serve` reads the log tail to seed its
+//     per-pool dirtiness EMAs instead of re-learning them over the EMA
+//     time constant.
 //
 // The design treats partial failure as the default execution model:
 // records are length-prefixed and CRC32C-framed, segments rotate by size

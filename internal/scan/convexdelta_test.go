@@ -3,44 +3,63 @@ package scan
 import (
 	"context"
 	"math/rand"
-	"sync/atomic"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"arbloop/internal/cex"
 	"arbloop/internal/strategy"
 )
 
-// countingConvex wraps ConvexStrategy and counts cold vs warm optimize
-// calls. The counters live behind pointers so every copy of the value
-// shares them.
-type countingConvex struct {
-	inner      strategy.ConvexStrategy
-	cold, warm *atomic.Int64
+// recordingStrategy wraps a strategy and records, as loopKey, every
+// loop it is asked to optimize.
+type recordingStrategy struct {
+	inner strategy.Strategy
+	mu    sync.Mutex
+	loops []string
 }
 
-func newCountingConvex() countingConvex {
-	return countingConvex{cold: new(atomic.Int64), warm: new(atomic.Int64)}
-}
+func (c *recordingStrategy) Name() string { return c.inner.Name() }
 
-func (c countingConvex) Name() string { return "CountingConvex" }
-
-func (c countingConvex) Optimize(ctx context.Context, l *strategy.Loop, pm strategy.PriceMap) (strategy.Result, error) {
-	c.cold.Add(1)
+func (c *recordingStrategy) Optimize(ctx context.Context, l *strategy.Loop, pm strategy.PriceMap) (strategy.Result, error) {
+	c.mu.Lock()
+	c.loops = append(c.loops, loopKey(l))
+	c.mu.Unlock()
 	return c.inner.Optimize(ctx, l, pm)
 }
 
-func (c countingConvex) OptimizeWarm(ctx context.Context, l *strategy.Loop, pm strategy.PriceMap, prev *strategy.Result) (strategy.Result, error) {
-	c.warm.Add(1)
-	return c.inner.OptimizeWarm(ctx, l, pm, prev)
+// take returns the loops optimized since the last take, sorted, and
+// clears the record.
+func (c *recordingStrategy) take() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.loops
+	c.loops = nil
+	slices.Sort(out)
+	return out
 }
 
-// TestRunDeltaConvexWarmStartEquivalence drives the sharded delta path
-// with the convex strategy over random dirty subsets and asserts (a)
-// delta reports are identical to full scans of the same state, and (b)
-// dirty loops actually re-optimize through the warm-start entry point.
+// loopKey names a loop by its token cycle and its pools: two loops can
+// share a token cycle through parallel pools.
+func loopKey(l *strategy.Loop) string {
+	var b strings.Builder
+	b.WriteString(l.String())
+	for i := range l.Len() {
+		b.WriteString(" ")
+		b.WriteString(l.Hop(i).Pool.ID)
+	}
+	return b.String()
+}
+
+// TestRunDeltaConvexEquivalence drives the sharded delta path,
+// scanning from its captured baseline, with the convex strategy over
+// random dirty subsets and asserts (a) delta reports are identical to
+// full scans of the same state, and (b) each delta scan calls Optimize
+// exactly once for each of its LoopsReoptimized loops and for no other.
 // Runs under -race in CI, covering concurrent solves sharing the
 // workspace pool.
-func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
+func TestRunDeltaConvexEquivalence(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
@@ -50,47 +69,51 @@ func TestRunDeltaConvexWarmStartEquivalence(t *testing.T) {
 		{Shards: 1, Parallelism: 1},
 		{Shards: 4, Parallelism: 4},
 	} {
-		counting := newCountingConvex()
-		cfg.Strategy = counting
+		recording := &recordingStrategy{inner: strategy.ConvexStrategy{}}
+		cfg.Strategy = recording
 		st := NewDelta(cfg)
 		state := pools
-		if _, err := st.Scan(ctx, state, nil, src, nil); err != nil { // capture
+		capture, err := st.Scan(ctx, state, nil, src, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		coldAfterCapture := counting.cold.Load()
+		if got := len(recording.take()); got != capture.LoopsDetected {
+			t.Errorf("shards=%d: capture optimized %d loops, detected %d", cfg.Shards, got, capture.LoopsDetected)
+		}
 		for round := 0; round < 4; round++ {
 			state = perturb(t, rng, state, 1+rng.Intn(8))
 			delta, err := st.Scan(ctx, state, nil, src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			calls := recording.take()
+			distinct := len(slices.Compact(slices.Clone(calls)))
+			if len(calls) != delta.LoopsReoptimized || distinct != len(calls) {
+				t.Errorf("shards=%d round %d: %d Optimize calls on %d distinct loops, LoopsReoptimized %d",
+					cfg.Shards, round, len(calls), distinct, delta.LoopsReoptimized)
+			}
 			full, err := Run(ctx, rebuild(t, state), src, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			recording.take()
 			requireSameReport(t, delta, full)
 			if delta.LoopsReused == 0 {
 				t.Errorf("shards=%d round %d: delta path never reused a loop", cfg.Shards, round)
 			}
 		}
-		if counting.warm.Load() == 0 {
-			t.Errorf("shards=%d: no re-optimization went through OptimizeWarm", cfg.Shards)
-		}
-		// Full scans (the captures and the comparison runs) cold-start;
-		// delta re-optimizations of same-orientation dirty loops must not.
-		t.Logf("shards=%d: %d cold (capture) + %d cold (delta) / %d warm calls",
-			cfg.Shards, coldAfterCapture, counting.cold.Load()-coldAfterCapture, counting.warm.Load())
 	}
 }
 
-// TestRunDeltaConvexPriceMoveWarmStarts: a moved CEX price re-optimizes
-// exactly the loops holding the token — through the warm-start path,
-// since the loops themselves are clean.
+// TestRunDeltaConvexPriceMoveWarmStarts: on a delta scan from the
+// captured baseline, a moved CEX price re-optimizes exactly the detected
+// loops holding the token — each once, and no other loop, since every
+// loop's reserves are clean.
 func TestRunDeltaConvexPriceMoveWarmStarts(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	ctx := context.Background()
-	counting := newCountingConvex()
-	cfg := Config{Strategy: counting, Shards: 2, Parallelism: 1}
+	recording := &recordingStrategy{inner: strategy.ConvexStrategy{}}
+	cfg := Config{Strategy: recording, Shards: 2, Parallelism: 1}
 	st := NewDelta(cfg)
 
 	src := cex.NewStatic(prices)
@@ -107,16 +130,37 @@ func TestRunDeltaConvexPriceMoveWarmStarts(t *testing.T) {
 		moved[k] = v
 	}
 	moved[tok] *= 1.02
-	before := counting.warm.Load()
+	recording.take()
 	rep2, err := st.Scan(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.LoopsReoptimized == 0 {
-		t.Fatal("moved price re-optimized nothing")
+	got := recording.take()
+
+	// Every detected loop is ranked (no MinProfitUSD, no TopK, no
+	// failures), so the full report lists the loops that hold tok.
+	full, err := Run(ctx, rebuild(t, pools), cex.NewStatic(moved), Config{Strategy: recording.inner})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := counting.warm.Load() - before; got != int64(rep2.LoopsReoptimized) {
-		t.Errorf("%d loops re-optimized but %d warm calls — price-move path not warm-starting", rep2.LoopsReoptimized, got)
+	if full.Failed != 0 || len(full.Results) != full.LoopsDetected {
+		t.Fatalf("full scan ranked %d of %d loops (%d failed)", len(full.Results), full.LoopsDetected, full.Failed)
+	}
+	var want []string
+	for _, r := range full.Results {
+		if r.Loop.HasToken(tok) {
+			want = append(want, loopKey(r.Loop))
+		}
+	}
+	slices.Sort(want)
+	if len(want) == 0 || len(want) == full.LoopsDetected {
+		t.Fatalf("%d of %d loops hold %s; the test needs some, not all", len(want), full.LoopsDetected, tok)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("moved %s re-optimized %d loops %v, want the %d holding it %v", tok, len(got), got, len(want), want)
+	}
+	if rep2.LoopsReoptimized != len(want) {
+		t.Errorf("LoopsReoptimized = %d, want %d", rep2.LoopsReoptimized, len(want))
 	}
 }
 

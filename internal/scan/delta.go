@@ -136,15 +136,6 @@ type deltaEntry struct {
 	err    error
 }
 
-// warmResult returns a captured entry's result as a warm start, or nil
-// when there is no entry or it failed.
-func warmResult(e *deltaEntry) *strategy.Result {
-	if e == nil || e.err != nil {
-		return nil
-	}
-	return &e.result
-}
-
 // DeltaStats counts how a Delta resolved its scans: on the fast path or
 // through the full-scan fallback, and how much shard work the fast path
 // did.
@@ -242,13 +233,9 @@ type scratch struct {
 	loops     []*strategy.Loop
 	loopCycle []int  // per loop: owning cycle
 	reopt     []bool // per loop: must re-run Optimize
-	// prevRes[li] points at the loop's captured result in the previous
-	// baseline (same orientation, no error) — the warm start handed to
-	// WarmStarter strategies; nil when the capture is unusable.
-	prevRes []*strategy.Result
-	jobs    []int
-	all     []Result
-	symbols []string
+	jobs      []int
+	all       []Result
+	symbols   []string
 	// keys is assembleReport's ranking buffer.
 	keys []rankKey
 	// det is the report-assembly view of the scan, rebuilt in place each
@@ -287,7 +274,6 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 	s.loops = s.loops[:0]
 	s.loopCycle = s.loopCycle[:0]
 	s.reopt = s.reopt[:0]
-	s.prevRes = s.prevRes[:0]
 	s.jobs = s.jobs[:0]
 	s.symbols = s.symbols[:0]
 }
@@ -441,11 +427,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	// Stitch: materialize the detected loop list in global cycle order —
 	// exactly the order a full scan detects in — reading each cycle's
 	// orientation from its shard (the fresh clone when dirty, the shared
-	// baseline when clean). A dirty cycle that kept its orientation also
-	// carries a pointer to its captured result: entries are immutable once
-	// committed, so the pointer stays valid for the scan, and WarmStarter
-	// strategies re-optimize from the previous block's optimum instead of
-	// cold-starting.
+	// baseline when clean).
 	for ci := range top.cycles {
 		s := plan.shardOf[ci]
 		lo := plan.localOf[ci]
@@ -460,12 +442,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		}
 		dirty := scr.dirtyCycle[ci]
 		var loop *strategy.Loop
-		var prev *strategy.Result
 		if dirty {
 			loop = scr.newLoop[ci]
-			if old := base.shards[s]; old.orient[lo] == o {
-				prev = warmResult(old.entries[lo])
-			}
 		} else {
 			loop = sb.entries[lo].loop
 		}
@@ -473,7 +451,6 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		scr.loops = append(scr.loops, loop)
 		scr.loopCycle = append(scr.loopCycle, ci)
 		scr.reopt = append(scr.reopt, dirty)
-		scr.prevRes = append(scr.prevRes, prev)
 	}
 
 	if timed {
@@ -504,9 +481,6 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 				continue
 			}
 			scr.reopt[li] = true
-			// The loop itself is clean (same reserves, same orientation),
-			// so its capture is a valid warm start for the re-pricing.
-			scr.prevRes[li] = warmResult(base.shards[plan.shardOf[ci]].entries[plan.localOf[ci]])
 			if s := plan.shardOf[ci]; scr.newShard[s] == nil {
 				scr.newShard[s] = cloneShardBase(base.shards[s])
 				if m != nil {
@@ -538,7 +512,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		e := sb.entries[plan.localOf[ci]]
 		scr.all[li] = Result{Index: li, Loop: e.loop, Result: e.result, Err: e.err}
 	}
-	optimizeInto(ctx, scr.loops, pm, scr.jobs, scr.prevRes, scr.all, d.cfg, workers)
+	optimizeInto(ctx, scr.loops, pm, scr.jobs, scr.all, d.cfg, workers)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}

@@ -2,7 +2,9 @@ package scan
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,7 +65,8 @@ func perturb(t *testing.T, rng *rand.Rand, pools []*amm.Pool, n int) []*amm.Pool
 
 // requireSameReport asserts a delta report is identical to a full report
 // over the same state — everything except the delta-path bookkeeping
-// (TopologyCacheHit, LoopsReoptimized, LoopsReused).
+// (TopologyCacheHit, LoopsReoptimized, LoopsReused). Plans compare bit
+// for bit.
 func requireSameReport(t *testing.T, delta, full Report) {
 	t.Helper()
 	if delta.Strategy != full.Strategy || delta.Parallelism != full.Parallelism ||
@@ -88,6 +91,9 @@ func requireSameReport(t *testing.T, delta, full Report) {
 			dr.Input != fr.Input || dr.Monetized != fr.Monetized {
 			t.Fatalf("result %d differs:\ndelta %+v\nfull  %+v", i, dr, fr)
 		}
+		if !sameBits(dr.Plan.Inputs, fr.Plan.Inputs) || !sameBits(dr.Plan.Outputs, fr.Plan.Outputs) {
+			t.Fatalf("result %d: plans differ:\ndelta %+v\nfull  %+v", i, dr.Plan, fr.Plan)
+		}
 		if len(dr.NetTokens) != len(fr.NetTokens) {
 			t.Fatalf("result %d: net tokens delta %d != full %d", i, len(dr.NetTokens), len(fr.NetTokens))
 		}
@@ -97,6 +103,11 @@ func requireSameReport(t *testing.T, delta, full Report) {
 			}
 		}
 	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
@@ -123,53 +134,58 @@ func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
 	}
 }
 
-// TestRunDeltaEquivalenceRandomDirty is the core property test: over many
-// rounds of random ≤10% dirty subsets, the delta report must be identical
-// to a fresh full scan of the same state while re-optimizing only the
-// affected loops.
+// TestRunDeltaEquivalenceRandomDirty is the core property test: for
+// every registered strategy, at one shard and at several, at loop length
+// 3 and at lengths 3–4, over rounds of random ≤10% dirty subsets, the
+// delta report must be identical to a fresh full scan of the same state,
+// plans included, while re-optimizing only the affected loops.
 func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
 
-	for _, cfg := range []Config{
-		{},
-		{MinProfitUSD: 1, TopK: 10},
-		{MinLen: 3, MaxLen: 4},
-	} {
-		st := NewDelta(cfg)
-		if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
-			t.Fatal(err)
-		}
-		state := pools
-		sawPartial := false
-		for round := 0; round < 8; round++ {
-			dirtyN := 1 + rng.Intn(len(state)/10)
-			state = perturb(t, rng, state, dirtyN)
-
-			delta, err := st.Scan(ctx, state, nil, src, nil)
-			if err != nil {
+	for _, name := range strategy.Names() {
+		strat, _ := strategy.Lookup(name)
+		for _, cfg := range []Config{
+			{Strategy: strat, Shards: 1},
+			{Strategy: strat, Shards: 3, MinProfitUSD: 1, TopK: 10},
+			{Strategy: strat, Shards: 1, MinLen: 3, MaxLen: 4, MinProfitUSD: 1, TopK: 10},
+			{Strategy: strat, Shards: 3, MinLen: 3, MaxLen: 4},
+		} {
+			rng := rand.New(rand.NewSource(7))
+			st := NewDelta(cfg)
+			if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
 				t.Fatal(err)
 			}
-			full, err := Run(ctx, rebuild(t, state), src, cfg)
-			if err != nil {
-				t.Fatal(err)
+			state := pools
+			sawPartial := false
+			for round := 0; round < 8; round++ {
+				dirtyN := 1 + rng.Intn(len(state)/10)
+				state = perturb(t, rng, state, dirtyN)
+
+				delta, err := st.Scan(ctx, state, nil, src, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := Run(ctx, rebuild(t, state), src, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameReport(t, delta, full)
+				if delta.LoopsReoptimized+delta.LoopsReused != delta.LoopsDetected {
+					t.Fatalf("%s %+v: counters do not partition: %d + %d != %d", name, cfg,
+						delta.LoopsReoptimized, delta.LoopsReused, delta.LoopsDetected)
+				}
+				if delta.LoopsReoptimized < delta.LoopsDetected {
+					sawPartial = true
+				}
 			}
-			requireSameReport(t, delta, full)
-			if delta.LoopsReoptimized+delta.LoopsReused != delta.LoopsDetected {
-				t.Fatalf("counters do not partition: %d + %d != %d",
-					delta.LoopsReoptimized, delta.LoopsReused, delta.LoopsDetected)
+			if !sawPartial {
+				t.Errorf("%s %+v: no round reused any loop — delta path never engaged", name, cfg)
 			}
-			if delta.LoopsReoptimized < delta.LoopsDetected {
-				sawPartial = true
+			if s := st.Stats(); s.DeltaScans != 8 {
+				t.Errorf("%s %+v: stats = %+v, want 8 delta scans", name, cfg, s)
 			}
-		}
-		if !sawPartial {
-			t.Errorf("cfg %+v: no round reused any loop — delta path never engaged", cfg)
-		}
-		if s := st.Stats(); s.DeltaScans != 8 {
-			t.Errorf("cfg %+v: stats = %+v, want 8 delta scans", cfg, s)
 		}
 	}
 }

@@ -39,11 +39,11 @@ import (
 // path (Delta.Scan), which must not construct errors per call.
 var errNoPools = errors.New("scan: no pools to scan")
 
-// ErrStrategyPanic wraps a panic recovered from a Strategy.Optimize (or
-// OptimizeWarm) call. The scan engine contains per-loop panics: the loop
-// is reported as failed (Report.Failed, Result.Err) and the rest of the
-// scan proceeds — a buggy custom strategy costs one loop, not the
-// process. Recovered panics are also counted in Metrics.StrategyPanics.
+// ErrStrategyPanic wraps a panic recovered from a Strategy.Optimize
+// call. The scan engine contains per-loop panics: the loop is reported
+// as failed (Report.Failed, Result.Err) and the rest of the scan
+// proceeds — a buggy custom strategy costs one loop, not the process.
+// Recovered panics are also counted in Metrics.StrategyPanics.
 var ErrStrategyPanic = errors.New("scan: strategy panicked")
 
 // LoopFromDirected converts a detected directed cycle into a strategy
@@ -125,12 +125,6 @@ type Config struct {
 	// off the allocation-free fast path (context.WithTimeout allocates),
 	// so the 7-alloc delta budget is quoted with it off.
 	StageTimeout time.Duration
-	// WarmHints, when non-nil, stages recovered warm starts (token
-	// cycles + per-hop inputs, e.g. from the durable opportunity log's
-	// tail) for the first full scan after a restart. Consumed take-once
-	// by that scan, and only when Strategy implements
-	// strategy.WarmStarter; nil — the default — changes nothing.
-	WarmHints *WarmHints
 }
 
 // Resolve returns c with every unset field at its default. Parallelism
@@ -437,7 +431,7 @@ func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, j
 			if ctx.Err() != nil {
 				return
 			}
-			res, err := optimizeOne(ctx, cfg.Strategy, nil, loops[i], pm, nil, cfg.Metrics)
+			res, err := optimizeOne(ctx, cfg.Strategy, loops[i], pm, cfg.Metrics)
 			if !emit(Result{Index: i, Loop: loops[i], Result: res, Err: err}) {
 				return
 			}
@@ -454,7 +448,7 @@ func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, j
 			return false
 		}
 		i := jobsList[k]
-		res, err := optimizeOne(ctx, cfg.Strategy, nil, loops[i], pm, nil, cfg.Metrics)
+		res, err := optimizeOne(ctx, cfg.Strategy, loops[i], pm, cfg.Metrics)
 		r := Result{Index: i, Loop: loops[i], Result: res, Err: err}
 		emitMu.Lock()
 		ok := stopped.Load() || emit(r)
@@ -471,18 +465,12 @@ func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, j
 // loops named by jobs and writes each outcome to out[job] directly. Job
 // indices are distinct, so workers need no emit lock, and the
 // single-worker path runs inline — zero allocations per loop and zero
-// per scan. Unprocessed jobs are left zero when ctx is cancelled.
-//
-// prev, when non-nil, carries each loop's previous captured result
-// (indexed like loops; nil entries mean no usable capture). Strategies
-// implementing strategy.WarmStarter re-optimize from it — the delta
-// path's cross-block warm start; other strategies ignore it. pool, when
-// non-nil, runs the parallel path on persistent goroutines.
-func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, prev []*strategy.Result, out []Result, cfg Config, pool *Workers) {
+// per scan. Unprocessed jobs are left zero when ctx is cancelled. pool,
+// when non-nil, runs the parallel path on persistent goroutines.
+func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, out []Result, cfg Config, pool *Workers) {
 	if len(jobsList) == 0 {
 		return
 	}
-	warm, _ := cfg.Strategy.(strategy.WarmStarter)
 	workers := cfg.Parallelism
 	if len(jobsList) < workers {
 		workers = len(jobsList)
@@ -492,38 +480,28 @@ func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.Price
 			if ctx.Err() != nil {
 				return
 			}
-			res, err := optimizeOne(ctx, cfg.Strategy, warm, loops[i], pm, prevFor(prev, i), cfg.Metrics)
+			res, err := optimizeOne(ctx, cfg.Strategy, loops[i], pm, cfg.Metrics)
 			out[i] = Result{Index: i, Loop: loops[i], Result: res, Err: err}
 		}
 		return
 	}
 	forEachIndex(ctx, pool, workers, len(jobsList), func(k int) bool {
 		i := jobsList[k]
-		res, err := optimizeOne(ctx, cfg.Strategy, warm, loops[i], pm, prevFor(prev, i), cfg.Metrics)
+		res, err := optimizeOne(ctx, cfg.Strategy, loops[i], pm, cfg.Metrics)
 		out[i] = Result{Index: i, Loop: loops[i], Result: res, Err: err}
 		return true
 	})
 }
 
-// prevFor looks up a loop's previous result in a possibly-nil slice.
-func prevFor(prev []*strategy.Result, i int) *strategy.Result {
-	if prev == nil {
-		return nil
-	}
-	return prev[i]
-}
-
-// optimizeOne dispatches one loop's optimization: through the strategy's
-// warm-start entry point when it has one and a previous result exists,
-// the plain Optimize otherwise. A panic inside the strategy is contained
-// here — the innermost frame the engine owns, inside the pooled worker
-// goroutines, so a panicking custom strategy fails its loop
-// (ErrStrategyPanic) instead of killing a Workers goroutine and the
+// optimizeOne runs the strategy on one loop. A panic inside the strategy
+// is contained here — the innermost frame the engine owns, inside the
+// pooled worker goroutines, so a panicking custom strategy fails its
+// loop (ErrStrategyPanic) instead of killing a Workers goroutine and the
 // process with it. A result whose profit is not finite fails its loop
 // the same way. The deferred recover is open-coded by the compiler
 // (one defer, not in a loop) and allocates only on the panic path, so
 // the steady-state delta budget is unchanged with containment enabled.
-func optimizeOne(ctx context.Context, s strategy.Strategy, warm strategy.WarmStarter, l *strategy.Loop, pm strategy.PriceMap, prev *strategy.Result, m *Metrics) (res strategy.Result, err error) {
+func optimizeOne(ctx context.Context, s strategy.Strategy, l *strategy.Loop, pm strategy.PriceMap, m *Metrics) (res strategy.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if m != nil {
@@ -533,11 +511,7 @@ func optimizeOne(ctx context.Context, s strategy.Strategy, warm strategy.WarmSta
 			err = fmt.Errorf("%w: %v", ErrStrategyPanic, r)
 		}
 	}()
-	if warm != nil && prev != nil {
-		res, err = warm.OptimizeWarm(ctx, l, pm, prev)
-	} else {
-		res, err = s.Optimize(ctx, l, pm)
-	}
+	res, err = s.Optimize(ctx, l, pm)
 	// Ranked, a NaN profit would pass the MinProfitUSD filter (NaN < x is
 	// false) and make the whole report unencodable as JSON.
 	if err == nil && !(math.Abs(res.Monetized) <= math.MaxFloat64) {
@@ -684,20 +658,10 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 }
 
 // collectAll runs the optimization fan-out over every detected loop and
-// returns the complete result set indexed by loop. Staged warm hints
-// (Config.WarmHints, a restart's recovered plans) feed the fan-out as
-// previous results when the strategy can warm-start; the set is
-// take-once, so only the first scan through a given hint set pays the
-// matching cost.
+// returns the complete result set indexed by loop.
 func collectAll(ctx context.Context, d *detection, cfg Config, pool *Workers) []Result {
 	all := make([]Result, len(d.loops))
-	var prev []*strategy.Result
-	if cfg.WarmHints != nil {
-		if _, ok := cfg.Strategy.(strategy.WarmStarter); ok {
-			prev = cfg.WarmHints.take(d.loops)
-		}
-	}
-	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), prev, all, cfg, pool)
+	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), all, cfg, pool)
 	return all
 }
 

@@ -199,7 +199,7 @@ func TestOptimizeIntoZeroAllocPerLoop(t *testing.T) {
 	out := make([]Result, len(d.loops))
 	cfg := Config{Strategy: nullStrategy{}, Parallelism: 1}.Resolve()
 	allocs := testing.AllocsPerRun(20, func() {
-		optimizeInto(ctx, d.loops, d.prices, jobs, nil, out, cfg, nil)
+		optimizeInto(ctx, d.loops, d.prices, jobs, out, cfg, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("fan-out allocates %.1f per scan over %d loops, want 0", allocs, len(jobs))

@@ -55,10 +55,9 @@ type Metrics struct {
 	LoopsReoptimized, LoopsReused telemetry.Counter
 	// DirtyPools is the cumulative dirty-pool count across delta scans.
 	DirtyPools telemetry.Counter
-	// StrategyPanics counts panics recovered from Strategy.Optimize /
-	// OptimizeWarm calls (each one also fails its loop — see
-	// ErrStrategyPanic). A non-zero value is a strategy bug signal, not
-	// normal operation.
+	// StrategyPanics counts panics recovered from Strategy.Optimize
+	// calls (each one also fails its loop — see ErrStrategyPanic). A
+	// non-zero value is a strategy bug signal, not normal operation.
 	StrategyPanics telemetry.Counter
 	// DegradedScans counts scans whose prices came from a fallback
 	// (Report.Degraded true).

@@ -468,9 +468,38 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 	}{msg})
 }
 
-// acceptsGzip reports whether the request negotiates gzip encoding.
+// acceptsGzip reports whether the request's Accept-Encoding lists gzip
+// (or its alias x-gzip, any case) with a weight above zero: RFC 9110
+// §12.5.3 reads q=0 as "not acceptable". It parses in place and
+// allocates nothing on a well-formed header.
 func acceptsGzip(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
+	for _, v := range r.Header.Values("Accept-Encoding") {
+		for v != "" {
+			var item string
+			item, v, _ = strings.Cut(v, ",")
+			coding, params, _ := strings.Cut(item, ";")
+			coding = strings.TrimSpace(coding)
+			if (strings.EqualFold(coding, "gzip") || strings.EqualFold(coding, "x-gzip")) && positiveWeight(params) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// positiveWeight reports whether a coding's parameters leave it
+// acceptable: no q parameter, a q above zero, or one that does not parse.
+func positiveWeight(params string) bool {
+	for params != "" {
+		var p string
+		p, params, _ = strings.Cut(params, ";")
+		name, value, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(name), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+			return err != nil || q > 0
+		}
+	}
+	return true
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {

@@ -461,11 +461,11 @@ func TestReportGzipNegotiation(t *testing.T) {
 	// raw negotiated representation.
 	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
 
-	get := func(gzipOK bool) (*http.Response, []byte) {
+	get := func(acceptEncoding string) (*http.Response, []byte) {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/report", nil)
-		if gzipOK {
-			req.Header.Set("Accept-Encoding", "gzip")
+		if acceptEncoding != "" {
+			req.Header.Set("Accept-Encoding", acceptEncoding)
 		}
 		resp, err := client.Do(req)
 		if err != nil {
@@ -480,32 +480,55 @@ func TestReportGzipNegotiation(t *testing.T) {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
 		if vary := resp.Header.Get("Vary"); vary != "Accept-Encoding" {
-			t.Errorf("Vary = %q (gzipOK=%v)", vary, gzipOK)
+			t.Errorf("Accept-Encoding %q: Vary = %q", acceptEncoding, vary)
 		}
 		return resp, body
 	}
 
-	respPlain, plain := get(false)
-	if ce := respPlain.Header.Get("Content-Encoding"); ce != "" {
-		t.Errorf("identity response Content-Encoding = %q", ce)
-	}
-	respGz, compressed := get(true)
-	if ce := respGz.Header.Get("Content-Encoding"); ce != "gzip" {
-		t.Fatalf("gzip response Content-Encoding = %q", ce)
-	}
-	if len(compressed) >= len(plain) {
-		t.Errorf("gzip body (%d) not smaller than plain (%d)", len(compressed), len(plain))
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(compressed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	decompressed, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(decompressed, plain) {
-		t.Error("gzip representation does not decompress to the identity body")
+	_, plain := get("")
+	for _, c := range []struct {
+		acceptEncoding string
+		gzip           bool
+	}{
+		{"", false},
+		{"identity", false},
+		{"gzip", true},
+		{"GZIP", true},
+		{"x-gzip", true},
+		{"deflate, gzip;q=0.5", true},
+		{"br;q=1.0, gzip ; q=0.001", true},
+		// RFC 9110 §12.5.3: q=0 means "not acceptable".
+		{"gzip;q=0", false},
+		{"gzip; q=0.0", false},
+		{"deflate, gzip;q=0", false},
+		{"Gzip;Q=0.000, identity", false},
+	} {
+		resp, body := get(c.acceptEncoding)
+		ce := resp.Header.Get("Content-Encoding")
+		if !c.gzip {
+			if ce != "" || !bytes.Equal(body, plain) {
+				t.Errorf("Accept-Encoding %q: Content-Encoding %q, want the identity body", c.acceptEncoding, ce)
+			}
+			continue
+		}
+		if ce != "gzip" {
+			t.Errorf("Accept-Encoding %q: Content-Encoding = %q, want gzip", c.acceptEncoding, ce)
+			continue
+		}
+		if len(body) >= len(plain) {
+			t.Errorf("Accept-Encoding %q: gzip body (%d) not smaller than plain (%d)", c.acceptEncoding, len(body), len(plain))
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decompressed, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(decompressed, plain) {
+			t.Errorf("Accept-Encoding %q: gzip representation does not decompress to the identity body", c.acceptEncoding)
+		}
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"arbloop/internal/amm"
 	"arbloop/internal/chain"
@@ -96,7 +98,19 @@ func TestChainSourceViewIsOneBlock(t *testing.T) {
 		<-stopped
 	}()
 
-	for i := 0; i < reads; i++ {
+	// At GOMAXPROCS 1 the reads can finish inside one scheduler slice,
+	// before the writer runs at all. So reading starts only once the
+	// writer has committed, and goes on past reads, yielding, until a
+	// transaction has committed since the first read.
+	deadline := time.Now().Add(10 * time.Second)
+	for commits.Load() == 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	first := commits.Load()
+	for i := 0; i < reads || (commits.Load() == first && time.Now().Before(deadline)); i++ {
+		if i >= reads {
+			runtime.Gosched()
+		}
 		pools, err := src.Pools(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +119,7 @@ func TestChainSourceViewIsOneBlock(t *testing.T) {
 			t.Fatalf("read %d: A.Y + B.Y = %.0f, want %.0f: the view straddles a committed transaction", i, sum, float64(sumY))
 		}
 	}
-	if commits.Load() == 0 {
+	if commits.Load() == first {
 		t.Fatal("no transaction committed during the reads")
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"math/bits"
 )
 
-// ConvexOptions tunes ConvexStrategy.
+// ConvexOptions is the type of ConvexStrategy.Options.
+//
+// Deprecated: no option changes the exact solve. The type remains
+// because the perfbench module still sets ColdStart.
 type ConvexOptions struct {
-	// ColdStart has no effect. A convex solve never reads a previous
-	// result, so repeated solves of the same state are bit-identical
-	// without it; the field remains so existing callers compile.
+	// ColdStart has no effect: a solve never reads a previous result, so
+	// repeated solves of the same state are bit-identical.
 	ColdStart bool
 }
 
@@ -72,13 +74,6 @@ func Convex(l *Loop, prices PriceMap) (Result, error) {
 		return Result{}, fmt.Errorf("%w: %d hops, at most %d for the convex face enumeration", ErrLoopTooLong, l.Len(), maxFaceLen)
 	}
 	return w.result(NameConvex, l, -1)
-}
-
-// ConvexWarm returns Convex(l, prices) bit for bit; prev is ignored. The
-// exact solve needs no start point, so a previous result cannot change
-// it.
-func ConvexWarm(l *Loop, prices PriceMap, prev *Result) (Result, error) {
-	return Convex(l, prices)
 }
 
 // profitable reports whether the staged loop is an arbitrage loop: the

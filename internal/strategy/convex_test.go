@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -310,58 +309,6 @@ func TestConvexWorkspaceReuseAcrossLengths(t *testing.T) {
 	}
 }
 
-// TestConvexWarmMatchesCold: ConvexWarm returns Convex's result bit for
-// bit whatever it is handed — a previous block's optimum or nil — and so
-// does ConvexStrategy.OptimizeWarm with or without ColdStart.
-func TestConvexWarmMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for n := 2; n <= 5; n++ {
-		l, prices := randomProfitableLoop(t, rng, n)
-		prev, err := Convex(l, prices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Perturb reserves slightly (a block's worth of trading) and
-		// re-solve warm vs cold.
-		hops := make([]Hop, n)
-		for i := 0; i < n; i++ {
-			h := l.Hop(i)
-			hops[i] = Hop{
-				Pool: amm.MustNewPool(h.Pool.ID, h.Pool.Token0, h.Pool.Token1,
-					h.Pool.Reserve0*1.01, h.Pool.Reserve1*0.995, h.Pool.Fee),
-				TokenIn: h.TokenIn,
-			}
-		}
-		moved, err := NewLoop(hops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := Convex(moved, prices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			name  string
-			solve func() (Result, error)
-		}{
-			{"ConvexWarm", func() (Result, error) { return ConvexWarm(moved, prices, &prev) }},
-			{"ConvexWarm(nil)", func() (Result, error) { return ConvexWarm(moved, prices, nil) }},
-			{"OptimizeWarm", func() (Result, error) {
-				return ConvexStrategy{}.OptimizeWarm(context.Background(), moved, prices, &prev)
-			}},
-			{"OptimizeWarm(ColdStart)", func() (Result, error) {
-				return ConvexStrategy{Options: ConvexOptions{ColdStart: true}}.OptimizeWarm(context.Background(), moved, prices, &prev)
-			}},
-		} {
-			got, err := c.solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, fmt.Sprintf("n=%d %s", n, c.name), got, cold)
-		}
-	}
-}
-
 // requireSameResult asserts got is want bit for bit.
 func requireSameResult(t *testing.T, name string, got, want Result) {
 	t.Helper()
@@ -371,53 +318,6 @@ func requireSameResult(t *testing.T, name string, got, want Result) {
 		!maps.Equal(got.NetTokens, want.NetTokens) {
 		t.Errorf("%s: results differ:\ngot  %+v\nwant %+v", name, got, want)
 	}
-}
-
-// TestConvexWarmMisalignedPrev: a previous result from an unrelated loop
-// (wrong tokens, wrong length) or a zero plan changes nothing.
-func TestConvexWarmMisalignedPrev(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l, prices := randomProfitableLoop(t, rng, 3)
-	other, otherPrices := randomProfitableLoop(t, rng, 4)
-	prevOther, err := Convex(other, otherPrices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Convex(l, prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ConvexWarm(l, prices, &prevOther)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "misaligned prev", warm, cold)
-	zero := Result{Loop: l, Plan: TradePlan{Inputs: make([]float64, 3), Outputs: make([]float64, 3)}}
-	warmZero, err := ConvexWarm(l, prices, &zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "zero prev", warmZero, cold)
-}
-
-// TestConvexStrategyImplementsWarmStarter pins the delta-path contract.
-func TestConvexStrategyImplementsWarmStarter(t *testing.T) {
-	var s Strategy = ConvexStrategy{}
-	ws, ok := s.(WarmStarter)
-	if !ok {
-		t.Fatal("ConvexStrategy does not implement WarmStarter")
-	}
-	rng := rand.New(rand.NewSource(9))
-	l, prices := randomProfitableLoop(t, rng, 3)
-	prev, err := s.Optimize(context.Background(), l, prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := ws.OptimizeWarm(context.Background(), l, prices, &prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "OptimizeWarm", warm, prev)
 }
 
 // TestConvexStructuredAllocBudget pins each strategy's allocations per
@@ -432,10 +332,6 @@ func TestConvexStrategyImplementsWarmStarter(t *testing.T) {
 func TestConvexStructuredAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l, prices := randomProfitableLoop(t, rng, 4)
-	prev, err := Convex(l, prices)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const workspace = 8
 	for _, c := range []struct {
 		name   string
@@ -446,7 +342,6 @@ func TestConvexStructuredAllocBudget(t *testing.T) {
 		{NameMaxPrice, 7, func() (Result, error) { return MaxPrice(l, prices) }},
 		{NameMaxMax, 7, func() (Result, error) { return MaxMax(l, prices) }},
 		{NameConvex, 4, func() (Result, error) { return Convex(l, prices) }},
-		{"ConvexWarm", 4, func() (Result, error) { return ConvexWarm(l, prices, &prev) }},
 		{NameConvexRisky, 4, func() (Result, error) { return ConvexRisky(l, prices) }},
 	} {
 		if _, err := c.run(); err != nil { // warm the pool

@@ -72,28 +72,15 @@ func (MaxMaxStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (R
 	return MaxMax(l, prices)
 }
 
-// WarmStarter is an optional Strategy extension: strategies whose
-// optimization benefits from the previous result for the same loop (the
-// previous block's optimum, say) implement it, and the delta-scan engine
-// calls OptimizeWarm instead of Optimize when it holds a previous result
-// for a loop it re-optimizes. The contract mirrors Optimize — same
-// result up to solver tolerance, safe for concurrent use — and prev is
-// read-only advice: implementations must produce a correct result for
-// any prev, including one captured under different reserves or prices.
-type WarmStarter interface {
-	Strategy
-	// OptimizeWarm optimizes the loop using prev (never nil) as a warm
-	// start.
-	OptimizeWarm(ctx context.Context, l *Loop, prices PriceMap, prev *Result) (Result, error)
-}
-
 // ConvexStrategy solves the paper's problem (8) exactly (see Convex):
 // the best rotation when a KKT certificate accepts it, the best
-// closed-form face otherwise; never below MaxMax. It implements
-// WarmStarter, but the previous result is ignored, so delta scans match
-// full scans bit for bit.
+// closed-form face otherwise; never below MaxMax.
 type ConvexStrategy struct {
-	// Options has no effect on the solve (see ConvexOptions).
+	// Options has no effect on the solve.
+	//
+	// Deprecated: the exact solve reads no previous result, so there is
+	// nothing to tune. The field remains because the perfbench module
+	// still sets it.
 	Options ConvexOptions
 }
 
@@ -106,12 +93,6 @@ func (s ConvexStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) 
 		return Result{}, err
 	}
 	return Convex(l, prices)
-}
-
-// OptimizeWarm implements WarmStarter. It returns Optimize's result bit
-// for bit; prev is ignored.
-func (s ConvexStrategy) OptimizeWarm(ctx context.Context, l *Loop, prices PriceMap, prev *Result) (Result, error) {
-	return s.Optimize(ctx, l, prices)
 }
 
 // ConvexRiskyStrategy solves the shorting-allowed relaxation the paper

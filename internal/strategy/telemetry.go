@@ -20,14 +20,22 @@ type ConvexTelemetry struct {
 	// and the solve fails with ErrLoopTooLong.
 	Enumerations telemetry.Counter
 	// WarmHits and WarmMisses no longer advance: the exact solve takes no
-	// warm start. They stay registered for readers of the metric.
+	// warm start.
+	//
+	// Deprecated: frozen at zero. They stay, with their metric names,
+	// because the perfbench module still reads them.
 	WarmHits, WarmMisses telemetry.Counter
 	// Fallbacks no longer advances: the exact solve never substitutes
-	// the MaxMax plan. It stays registered for readers of the metric.
+	// the MaxMax plan.
+	//
+	// Deprecated: frozen at zero. It stays, with its metric name,
+	// because the perfbench module still reads it.
 	Fallbacks telemetry.Counter
 	// NewtonIters and OuterIters no longer advance: the exact solve runs
-	// no barrier iterations. They stay registered for readers of the
-	// metrics.
+	// no barrier iterations.
+	//
+	// Deprecated: frozen at zero. They stay, with their metric names,
+	// because the perfbench module still reads NewtonIters.
 	NewtonIters, OuterIters telemetry.Counter
 }
 

@@ -48,10 +48,6 @@ type Scanner struct {
 	// delta is the delta engine behind ScanDelta/Watch, bound to cfg
 	// (nil when WithDeltaScans(false)).
 	delta *scan.Delta
-	// warm is the hint set cfg.WarmHints points at, so hints staged by
-	// PrimeWarmStarts after construction reach the delta engine's copy
-	// of the config too.
-	warm scan.WarmHints
 }
 
 // ScannerOption configures a Scanner.
@@ -187,22 +183,6 @@ func (s *Scanner) Metrics() *ScanMetrics {
 	return s.cfg.Metrics
 }
 
-// WarmHint is one recovered warm start — the token cycle of a
-// previously optimized loop and its per-hop inputs — for PrimeWarmStarts.
-type WarmHint = scan.WarmHint
-
-// PrimeWarmStarts stages recovered optimization plans (typically the
-// last entry of the durable opportunity log) as warm starts for the
-// scanner's first full scan: loops re-detected after a restart whose
-// token cycle matches a hint start from the recovered plan instead of
-// cold. Hints apply once, only when the configured strategy supports
-// warm starts, and malformed hints are ignored — priming can shorten the
-// first scan but never change its results. Call before the first scan:
-// hints staged later wait for the next full scan.
-func (s *Scanner) PrimeWarmStarts(hints []WarmHint) {
-	s.warm.Stage(hints)
-}
-
 // PrimeDirtiness seeds the per-pool dirtiness-rate EMAs with estimates
 // recovered from a previous run (pool ID → rate in [0, 1]), so a
 // restarted serving process resumes with yesterday's activity profile
@@ -230,9 +210,7 @@ func NewScanner(pools PoolSource, prices PriceSource, opts ...ScannerOption) (*S
 	if es, bad := cfg.Strategy.(errStrategy); bad {
 		return nil, fmt.Errorf("arbloop: unknown strategy %q (registered: %v)", es.name, StrategyNames())
 	}
-	s := &Scanner{pools: pools, prices: prices}
-	cfg.WarmHints = &s.warm
-	s.cfg = cfg.Resolve()
+	s := &Scanner{pools: pools, prices: prices, cfg: cfg.Resolve()}
 	if !cfg.DisableDelta {
 		s.delta = scan.NewDelta(s.cfg)
 	}

@@ -567,9 +567,8 @@ func benchShardedDelta(t *testing.T) []shardedBenchRow {
 // throughput for one solver configuration on the §VI market's detected
 // loops (single goroutine — the per-core number parallelism multiplies):
 // the barrier method (convexopt.Minimize on the problem and start
-// experiments.StageBarrier stages), the strategy's exact solve
-// (strategy.Convex), and the exact solve through ConvexWarm with each
-// loop's own previous optimum (the delta-scan entry point).
+// experiments.StageBarrier stages) and the strategy's exact solve
+// (strategy.Convex).
 type convexSolverBenchRow struct {
 	LoopLen          int     `json:"loop_len"`
 	Solver           string  `json:"solver"`
@@ -615,54 +614,26 @@ func benchConvexSolver(t *testing.T) []convexSolverBenchRow {
 		}
 		prices := arbloop.PriceMap(fetched)
 
-		solve := func(prev []arbloop.Result) float64 {
-			// One warm-up pass pays cold caches, then time runs passes.
-			for li, l := range loops {
-				var err error
-				if prev != nil {
-					_, err = arbloop.ConvexWarm(l, prices, &prev[li])
-				} else {
-					_, err = arbloop.Convex(l, prices)
-				}
-				if err != nil {
+		// One warm-up pass pays cold caches, then time runs passes.
+		for _, l := range loops {
+			if _, err := arbloop.Convex(l, prices); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := time.Now()
+		for r := 0; r < cfg.runs; r++ {
+			for _, l := range loops {
+				if _, err := arbloop.Convex(l, prices); err != nil {
 					t.Fatal(err)
 				}
 			}
-			start := time.Now()
-			for r := 0; r < cfg.runs; r++ {
-				for li, l := range loops {
-					var err error
-					if prev != nil {
-						_, err = arbloop.ConvexWarm(l, prices, &prev[li])
-					} else {
-						_, err = arbloop.Convex(l, prices)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			return float64(len(loops)) * float64(cfg.runs) / time.Since(start).Seconds()
 		}
-
-		structured := solve(nil)
-		// ConvexWarm gets each loop's own optimum, as a delta scan hands
-		// it the previous block's; the exact solve ignores it.
-		prev := make([]arbloop.Result, len(loops))
-		for li, l := range loops {
-			r, err := arbloop.Convex(l, prices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prev[li] = r
-		}
-		warm := solve(prev)
+		structured := float64(len(loops)) * float64(cfg.runs) / time.Since(start).Seconds()
 		generic, ratio := benchConvexSolvers(t, loops, prices, cfg.runs)
 
 		for _, row := range []convexSolverBenchRow{
 			{LoopLen: cfg.loopLen, Solver: "generic", Loops: len(loops), Runs: cfg.runs, LoopsPerSec: generic, SpeedupVsGeneric: 1},
 			{LoopLen: cfg.loopLen, Solver: "structured", Loops: len(loops), Runs: cfg.runs, LoopsPerSec: structured, SpeedupVsGeneric: structured / generic},
-			{LoopLen: cfg.loopLen, Solver: "structured_warm", Loops: len(loops), Runs: cfg.runs, LoopsPerSec: warm, SpeedupVsGeneric: warm / generic},
 		} {
 			t.Logf("convex solver len %d %-15s: %8.0f loops/s (%.2fx vs generic)",
 				row.LoopLen, row.Solver, row.LoopsPerSec, row.SpeedupVsGeneric)

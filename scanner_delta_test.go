@@ -229,79 +229,3 @@ func TestScanDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 full + 2 delta scans over %d shards", s, procs)
 	}
 }
-
-// warmCounter is a WarmStarter that records which loops were handed a
-// previous result, delegating the optimization itself to MaxMax.
-type warmCounter struct {
-	arbloop.MaxMaxStrategy
-	mu     sync.Mutex
-	warmed []string
-}
-
-func (c *warmCounter) OptimizeWarm(ctx context.Context, l *arbloop.Loop, pm arbloop.PriceMap, prev *arbloop.Result) (arbloop.Result, error) {
-	c.mu.Lock()
-	c.warmed = append(c.warmed, l.String())
-	c.mu.Unlock()
-	return c.Optimize(ctx, l, pm)
-}
-
-// take returns and clears the loops warm-started so far.
-func (c *warmCounter) take() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.warmed
-	c.warmed = nil
-	return out
-}
-
-// TestPrimeWarmStartsReachFirstScan: hints staged after construction
-// must reach the first scan — the delta engine's capture, which holds its
-// own copy of the config, and the full scan WithDeltaScans(false) runs —
-// and apply only once.
-func TestPrimeWarmStartsReachFirstScan(t *testing.T) {
-	market, prices := newMutableMarket(t)
-	ctx := context.Background()
-	u, err := arbloop.NewWatcher(market).Refresh(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := arbloop.NewScanner(market, prices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := plain.ScanVersioned(ctx, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Report.Results) == 0 {
-		t.Fatal("market has no profitable loop to hint")
-	}
-	hinted := rep.Report.Results[0].Loop
-	tokens := hinted.Tokens()
-	inputs := make([]float64, len(tokens))
-	for i := range inputs {
-		inputs[i] = 1
-	}
-
-	for _, delta := range []bool{true, false} {
-		counter := &warmCounter{}
-		sc, err := arbloop.NewScanner(market, prices,
-			arbloop.WithStrategy(counter), arbloop.WithDeltaScans(delta))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.PrimeWarmStarts([]arbloop.WarmHint{{Tokens: tokens, Inputs: inputs}})
-		if _, err := sc.ScanDelta(ctx, u); err != nil {
-			t.Fatal(err)
-		}
-		if got := counter.take(); len(got) != 1 || got[0] != hinted.String() {
-			t.Errorf("delta=%v: first scan warm-started %q, want only the hinted %s", delta, got, hinted)
-		}
-		if _, err := sc.ScanVersioned(ctx, u); err != nil {
-			t.Fatal(err)
-		}
-		if got := counter.take(); len(got) != 0 {
-			t.Errorf("delta=%v: hints applied twice: second full scan warm-started %q", delta, got)
-		}
-	}
-}
