@@ -35,9 +35,12 @@ bench-go:
 	$(GO) test -bench 'BenchmarkScan' -benchmem -run '^$$' .
 
 # Full-vs-delta per-block scan throughput (~10% of pools trading between
-# scans). Quick enough for CI.
+# scans), and one dirty length-4 Convex delta scan serving the top 20 and
+# serving every ranked loop (ns/op and allocs/op of the index path).
+# Quick enough for CI.
 bench-delta:
 	$(GO) test -bench 'BenchmarkScan(FullWarm|Delta10pct)' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkScanDeltaConvexLen4' -benchmem -run '^$$' ./internal/scan
 
 # Sharded delta path smoke: tiny run counts, runs on every PR so the
 # sharded engine compiles and stays delta-engaged.

@@ -138,6 +138,9 @@ func (g *Graph) Pools() []*amm.Pool {
 	return out
 }
 
+// Edge returns edge e: pool e and the node indices of its two tokens.
+func (g *Graph) Edge(e int) Edge { return g.edges[e] }
+
 // Edges returns a copy of the edge list.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, len(g.edges))

@@ -12,11 +12,12 @@ import (
 	"arbloop/internal/strategy"
 )
 
-// deltaBytesPerScan returns the heap bytes one dirty delta scan
-// allocates (runtime.MemStats.TotalAlloc), averaged over scans blocks in
-// which swaps pools trade. Every block's pool state is built before the
-// measured window, so the harness's own pool rebuilds are not counted.
-func deltaBytesPerScan(t *testing.T, cfg Config, swaps, scans int) float64 {
+// deltaScanCost returns the heap bytes and the allocations one dirty
+// delta scan makes (runtime.MemStats TotalAlloc and Mallocs), averaged
+// over scans blocks in which swaps pools trade. Every block's pool state
+// is built before the measured window, so the harness's own pool
+// rebuilds are not counted.
+func deltaScanCost(t *testing.T, cfg Config, swaps, scans int) (bytes, allocs float64) {
 	t.Helper()
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
@@ -56,34 +57,58 @@ func deltaBytesPerScan(t *testing.T, cfg Config, swaps, scans int) float64 {
 	if s := st.Stats(); s.FullScans != 1 {
 		t.Fatalf("stats = %+v, want one capture and delta scans only", s)
 	}
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(scans)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(scans),
+		float64(after.Mallocs-before.Mallocs) / float64(scans)
+}
+
+// dirtyScanBudgets are the dirty delta scan's budgets on the two
+// perfbench shapes, 2 shards and TopK 20 each.
+var dirtyScanBudgets = []struct {
+	name   string
+	cfg    Config
+	swaps  int
+	bytes  float64 // per scan
+	allocs float64 // per scan
+}{
+	{"convex-len4", Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2, TopK: 20}, 10, 20 << 10, 100},
+	{"maxmax-len3", Config{Strategy: strategy.MaxMaxStrategy{}, Shards: 2, TopK: 20}, 4, 23 << 9, 45},
 }
 
 // TestDeltaDirtyScanByteBudget pins the bytes a dirty delta scan
-// allocates on the two perfbench shapes: ranking copies out only the
-// TopK results it keeps, a dirty shard copies entry pointers rather than
-// entries, orienting a dirty cycle copies no traversal, and the scratch
-// arena grows with headroom. The scans read ~168 kB and ~20 kB (2-CPU
-// Xeon, Go 1.24; ~190 kB and ~21 kB under -race). Each budget sits below
-// what the scan reads when any one of those copies comes back: copying
-// whole Results or entries reads ~557 kB and ~75 kB, and reallocating
-// the scratch at the exact length on every new high of the loop count
-// reads ~243 kB and ~30 kB.
+// allocates. A re-optimized loop is computed on indices and gets a Loop
+// and a Result only when the report keeps it; a dirty shard's state is
+// copied into the state its previous commit retired, not into a fresh
+// one; ranking copies out only the TopK results it keeps. The scans read
+// ~12 kB and ~10.4 kB (2-CPU Xeon, Go 1.24, GOMAXPROCS 1 to 4, with or
+// without -race). Each budget sits below what the scan reads when any of
+// those comes back: a Loop per re-optimized loop reads ~52 kB and ~12.2 kB, a Loop
+// and a Result per re-optimized loop ~147 kB and ~18 kB, and a fresh
+// copy of every dirty shard's state ~102 kB and ~22 kB.
 func TestDeltaDirtyScanByteBudget(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		swaps  int
-		budget float64 // bytes per scan
-	}{
-		{"convex-len4", Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2, TopK: 20}, 10, 224 << 10},
-		{"maxmax-len3", Config{Strategy: strategy.MaxMaxStrategy{}, Shards: 2, TopK: 20}, 4, 26 << 10},
-	} {
+	for _, tc := range dirtyScanBudgets {
 		t.Run(tc.name, func(t *testing.T) {
-			got := deltaBytesPerScan(t, tc.cfg, tc.swaps, 40)
-			t.Logf("%s: %.1f kB per dirty delta scan (budget %.0f kB)", tc.name, got/1024, tc.budget/1024)
-			if got > tc.budget {
-				t.Errorf("dirty delta scan allocates %.1f kB, budget %.0f kB", got/1024, tc.budget/1024)
+			got, _ := deltaScanCost(t, tc.cfg, tc.swaps, 40)
+			t.Logf("%s: %.1f kB per dirty delta scan (budget %.1f kB)", tc.name, got/1024, tc.bytes/1024)
+			if got > tc.bytes {
+				t.Errorf("dirty delta scan allocates %.1f kB, budget %.1f kB", got/1024, tc.bytes/1024)
+			}
+		})
+	}
+}
+
+// TestDeltaDirtyScanAllocBudget pins the allocations of the same dirty
+// delta scans: a fixed handful per scan plus the served forms of the
+// kept loops that re-optimized, nothing per re-optimized loop. The scans
+// make 39–46 and 25–31 (GOMAXPROCS 1 to 4). A Loop per re-optimized loop
+// reads ~636 and ~64, and a Loop and a Result per re-optimized loop
+// ~1,226 and ~96.
+func TestDeltaDirtyScanAllocBudget(t *testing.T) {
+	for _, tc := range dirtyScanBudgets {
+		t.Run(tc.name, func(t *testing.T) {
+			_, got := deltaScanCost(t, tc.cfg, tc.swaps, 40)
+			t.Logf("%s: %.1f allocations per dirty delta scan (budget %.0f)", tc.name, got, tc.allocs)
+			if got > tc.allocs {
+				t.Errorf("dirty delta scan makes %.1f allocations, budget %.0f", got, tc.allocs)
 			}
 		})
 	}

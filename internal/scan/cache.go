@@ -22,6 +22,7 @@ import (
 	"arbloop/internal/amm"
 	"arbloop/internal/cycles"
 	"arbloop/internal/graph"
+	"arbloop/internal/strategy"
 )
 
 // Canonicalize returns the pool set in canonical order: sorted by pool ID
@@ -97,6 +98,11 @@ func appendField(buf []byte, s string) []byte {
 // fields are treated as immutable by every reader.
 type topology struct {
 	cycles []cycles.Cycle
+	// progs[ci] is cycle ci's hop program: the hops of its forward
+	// traversal, then those of its reverse traversal (see hops). Compiled
+	// and validated once, it is how a scan reads a cycle's reserves and
+	// prices.
+	progs [][]strategy.HopIndex
 	// skel is the canonical graph the cycles were enumerated on. Its
 	// reserves are a snapshot, but its node index, edge list, and
 	// adjacency depend only on the topology, so warm scans Rebind it to
@@ -115,10 +121,12 @@ type topology struct {
 }
 
 // newTopology indexes an enumerated cycle set against the canonical graph
-// it was enumerated on.
-func newTopology(g *graph.Graph, cs []cycles.Cycle) *topology {
+// it was enumerated on and compiles each cycle's hop program. A cycle
+// that is not a valid loop fails it.
+func newTopology(g *graph.Graph, cs []cycles.Cycle) (*topology, error) {
 	top := &topology{
 		cycles:      cs,
+		progs:       make([][]strategy.HopIndex, len(cs)),
 		skel:        g,
 		tokens:      g.Nodes(),
 		poolCycles:  make([][]int, g.NumEdges()),
@@ -128,7 +136,25 @@ func newTopology(g *graph.Graph, cs []cycles.Cycle) *topology {
 	for i := 0; i < g.NumEdges(); i++ {
 		top.poolIndex[g.Pool(i).ID] = i
 	}
+	hops := 0
+	for _, c := range cs {
+		hops += 2 * c.Len()
+	}
+	slab := make([]strategy.HopIndex, hops)
 	for ci, c := range cs {
+		k := c.Len()
+		prog := slab[: 2*k : 2*k]
+		slab = slab[2*k:]
+		if err := compileHops(g, c.Nodes, c.Pools, prog[:k]); err != nil {
+			return nil, fmt.Errorf("scan: cycle %v: %w", c.Forward(), err)
+		}
+		for i := 0; i < k; i++ {
+			// Reverse hop i runs forward hop k−1−i backwards: into the
+			// same pool with the token that hop puts out.
+			h := prog[k-1-i]
+			prog[k+i] = strategy.HopIndex{Pool: h.Pool, Token: prog[(k-i)%k].Token, In0: !h.In0}
+		}
+		top.progs[ci] = prog
 		for _, pi := range c.Pools {
 			top.poolCycles[pi] = append(top.poolCycles[pi], ci)
 		}
@@ -137,7 +163,76 @@ func newTopology(g *graph.Graph, cs []cycles.Cycle) *topology {
 			top.tokenCycles[tok] = append(top.tokenCycles[tok], ci)
 		}
 	}
-	return top
+	return top, nil
+}
+
+// compileHops compiles the traversal in which hop i enters pools[i] with
+// token nodes[i] into dst, one HopIndex per hop, running NewLoop's checks
+// by index: at least two hops, each pool holding its input token and
+// handing its other token to the next hop, and no token or pool twice. A
+// traversal that fails them returns NewLoop's own error for it.
+func compileHops(g *graph.Graph, nodes, pools []int, dst []strategy.HopIndex) error {
+	n := len(nodes)
+	ok := n >= 2
+	for i := 0; ok && i < n; i++ {
+		e := g.Edge(pools[i])
+		in, out := nodes[i], e.V
+		if in == e.V {
+			out = e.U
+		}
+		ok = (in == e.U || in == e.V) && out == nodes[(i+1)%n]
+		for j := 0; ok && j < i; j++ {
+			ok = nodes[j] != in && g.Pool(pools[j]) != g.Pool(pools[i])
+		}
+		dst[i] = strategy.HopIndex{Pool: int32(pools[i]), Token: int32(in), In0: in == e.U}
+	}
+	if ok {
+		return nil
+	}
+	_, err := strategy.NewLoop(graphHops(g, nodes, pools))
+	return err
+}
+
+// graphHops resolves a traversal's hops through the graph.
+func graphHops(g *graph.Graph, nodes, pools []int) []strategy.Hop {
+	hops := make([]strategy.Hop, len(nodes))
+	for i := range hops {
+		hops[i] = strategy.Hop{Pool: g.Pool(pools[i]), TokenIn: g.Node(nodes[i])}
+	}
+	return hops
+}
+
+// hops returns cycle ci's hop program traversed in orientation o
+// (orientForward or orientReverse).
+func (top *topology) hops(ci int, o int8) []strategy.HopIndex {
+	p := top.progs[ci]
+	if o == orientReverse {
+		return p[len(p)/2:]
+	}
+	return p[:len(p)/2]
+}
+
+// orient returns the profitable orientation of cycle ci against pools,
+// mirroring cycles.ArbitrageLoops (forward tested first), reading the
+// reserves through the hop program. Each orientation's price product
+// multiplies its hops' spot prices γ·r_out/r_in in traversal order, as
+// cycles.PriceProduct does and as Convex tests the staged loop, so the
+// products are bit-identical to both and every loop a scan detects is
+// one Convex solves.
+//
+//arblint:hotpath
+func (top *topology) orient(pools []*amm.Pool, ci int) int8 {
+	for _, o := range [...]int8{orientForward, orientReverse} {
+		prod := 1.0
+		for _, h := range top.hops(ci, o) {
+			rin, rout := h.Reserves(pools)
+			prod *= pools[h.Pool].Gamma() * rout / rin
+		}
+		if prod > 1 {
+			return o
+		}
+	}
+	return orientNone
 }
 
 // priceSymbols appends to dst, in sorted order, every token on a cycle

@@ -208,8 +208,10 @@ func TestRunDeltaConvexAllocBudget(t *testing.T) {
 		t.Errorf("clean convex delta scan allocates %.1f, budget %d", clean, cleanBudget)
 	}
 	// Dirty scans pay the perturb/rebuild harness (~1 alloc per pool in
-	// the market) plus a small fixed cost per re-optimized loop.
-	perLoop := 24.0
+	// the market) plus, per re-optimized loop, its served form: every
+	// ranked loop is served here (TopK 0), and a served form is ~6
+	// allocations.
+	perLoop := 8.0
 	budget := 300 + perLoop*reopt
 	if dirty > budget {
 		t.Errorf("1-dirty-pool convex delta scan allocates %.1f, budget %.0f (%.1f loops reoptimized)",

@@ -1,9 +1,9 @@
 // Delta scanning: the block-after-block fast path. Between consecutive
 // blocks only a handful of pools actually trade, yet a full scan
-// re-optimizes every detected loop. A Delta re-runs Strategy.Optimize
-// only for loops touching a *dirty* pool (reserves moved) or a moved CEX
-// price, and merges everything else from the previous scan's results —
-// producing a report identical to a full scan over the same state.
+// re-optimizes every detected loop. A Delta re-optimizes only the loops
+// touching a *dirty* pool (reserves moved) or a moved CEX price, and
+// merges everything else from the previous scan's outcomes — producing
+// a report identical to a full scan over the same state.
 //
 // Correctness rests on three facts:
 //
@@ -14,27 +14,41 @@
 //     to the identical Result (strategies are deterministic functions of
 //     the loop reserves and the price map).
 //   - Pool sets are canonicalized before anything else, so pool and node
-//     indices — and therefore the cached inverted indexes — are stable
-//     across scans with equal topologies.
+//     indices — and therefore the cached inverted indexes and hop
+//     programs — are stable across scans with equal topologies.
+//
+// A delta scan computes on indices. Each cycle is compiled once per
+// topology into a hop program (cache.go), through which orientation
+// reads reserves; a built-in strategy solves a re-optimized loop through
+// its kernel (strategy.SolveHops) on that program and a per-node price
+// vector built once per scan, keeping only the profit, error and plan.
+// Ranking needs no more. Only the loops the report keeps get a Loop and
+// a Result (strategy.Materialize), built from the stored plan without
+// solving again and cached until the loop re-optimizes. Any other
+// strategy is adapted through Optimize on a freshly built Loop, and its
+// Result is kept as the loop's served form. Run, Stream and the capture
+// keep calling Optimize, so the delta = full tests cross-check the two
+// paths bit for bit.
 //
 // The engine is sharded (see shard.go): the cycle set is partitioned
 // once per captured topology, each shard owns the captured per-cycle
 // state for its cycles, and a scan touches only the shards whose dirty
 // set is non-empty — re-orienting them in parallel and committing
 // copy-on-write per shard, so clean shards cost nothing, not even a
-// baseline copy. A dirty shard copies entry pointers, not entries:
-// entries are immutable and shared across baselines, and commit
-// allocates one only per re-optimized loop.
+// baseline copy. A shard's state is a few slabs of values that a dirty
+// shard copies into the state its previous commit retired (a fresh one
+// when there is none), so an entry that survives many commits never
+// keeps a batch of some earlier scan's allocations alive.
 //
 // The per-block path is also on an allocation diet: the topology check
 // compares pool metadata field-by-field instead of hashing a
 // fingerprint, the graph is rebound to fresh reserves instead of
-// rebuilt, orientation walks each cycle's own indices, the price
-// symbols are the topology's sorted tokens filtered to this scan's
-// loops, ranking sorts (profit, index) keys and copies out only the TopK
-// results it keeps, and every per-scan slice lives in a reusable scratch
-// arena carried by the Delta, so a steady-state delta scan touches the
-// allocator a fixed handful of times regardless of market size.
+// rebuilt, the price symbols are the topology's sorted tokens filtered
+// to this scan's loops, ranking sorts (profit, index) keys and serves
+// only the TopK results it keeps, and every per-scan slice lives in a
+// reusable scratch arena carried by the Delta, so a steady-state delta
+// scan touches the allocator a fixed handful of times regardless of
+// market size.
 //
 // The dirty set is computed by diffing reserves against the previous
 // scan's (authoritative, O(pools)), optionally widened by a caller-
@@ -49,6 +63,7 @@ package scan
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -73,14 +88,19 @@ import (
 type Delta struct {
 	// cfg is resolved once by NewDelta and never changes, which is what
 	// lets a baseline outlive the scan that captured it.
-	cfg   Config
-	mu    sync.Mutex
-	valid bool
-	base  baseline
+	cfg Config
+	// kernel is cfg.Strategy's kernel, nil for a strategy from outside
+	// package strategy.
+	kernel strategy.Kernel
+	mu     sync.Mutex
+	valid  bool
+	base   baseline
 	// scr is the reusable scratch arena. At most one scan holds it at a
 	// time; a concurrent scan that finds it checked out allocates a
 	// fresh one (rare — the steady state is one scan per block).
 	scr *scratch
+	// inflight counts the scans between begin and end.
+	inflight int
 	// lifetime counters (under mu).
 	fullScans, deltaScans, shardScans uint64
 }
@@ -91,7 +111,9 @@ type Delta struct {
 // a full scan. cfg.Workers is ignored — the worker pool is the one input
 // block-driven callers vary, so Scan takes it per call.
 func NewDelta(cfg Config) *Delta {
-	return &Delta{cfg: cfg.Resolve()}
+	d := &Delta{cfg: cfg.Resolve()}
+	d.kernel, _ = d.cfg.Strategy.(strategy.Kernel)
+	return d
 }
 
 // poolMeta is the topology identity of one canonical pool — everything
@@ -120,20 +142,47 @@ type baseline struct {
 	shards []*shardBase
 }
 
-// snapshot returns the current baseline (under mu) without judging
-// usability — the caller checks the topology against its own pools.
-func (d *Delta) snapshot() (baseline, bool) {
+// begin snapshots the current baseline without judging usability — the
+// caller checks the topology against its own pools — and checks out the
+// scratch arena (a fresh one when another scan holds it). The scan is in
+// flight until end returns the arena.
+func (d *Delta) begin() (b baseline, ok bool, scr *scratch) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.base, d.valid
+	b, ok, scr = d.base, d.valid, d.scr
+	d.scr = nil
+	d.inflight++
+	d.mu.Unlock()
+	if scr == nil {
+		scr = &scratch{}
+	}
+	return b, ok, scr
 }
 
-// deltaEntry is one profitable cycle's captured outcome. Immutable once
-// committed: baselines share entries by pointer.
+// end returns the scan's arena. Copy-on-write shard states still in
+// newShard were never committed, so no other scan saw them: they become
+// spares.
+func (d *Delta) end(scr *scratch) {
+	for s, sb := range scr.newShard {
+		if sb != nil {
+			scr.spares[s] = sb
+		}
+	}
+	clear(scr.newShard)
+	d.mu.Lock()
+	d.scr = scr
+	d.inflight--
+	d.mu.Unlock()
+}
+
+// deltaEntry is one cycle's captured state: its orientation and, when
+// that is profitable, its loop's outcome — the profit the loop ranks by
+// or the error it failed with, and, for a built-in strategy, its plan's
+// start token (its plan and served form live beside it, in shardBase).
 type deltaEntry struct {
-	loop   *strategy.Loop
-	result strategy.Result
+	profit float64
 	err    error
+	start  int32
+	orient int8
 }
 
 // DeltaStats counts how a Delta resolved its scans: on the fast path or
@@ -173,25 +222,6 @@ func (d *Delta) Stats() DeltaStats {
 	return s
 }
 
-// checkoutScratch hands the reusable arena to one scan (a fresh one when
-// another scan holds it); putScratch returns it.
-func (d *Delta) checkoutScratch() *scratch {
-	d.mu.Lock()
-	scr := d.scr
-	d.scr = nil
-	d.mu.Unlock()
-	if scr == nil {
-		scr = &scratch{}
-	}
-	return scr
-}
-
-func (d *Delta) putScratch(scr *scratch) {
-	d.mu.Lock()
-	d.scr = scr
-	d.mu.Unlock()
-}
-
 // usable reports whether the captured baseline can serve a delta scan of
 // the given canonical pools: an identical pool topology, metadata
 // compared field-by-field (the allocation-free equivalent of a
@@ -213,8 +243,9 @@ func (b *baseline) usable(pools []*amm.Pool) bool {
 // scratch is the reusable per-scan arena: every slice the delta fast
 // path needs, sized once and recycled block after block so the
 // steady-state scan performs no per-item allocation. Nothing in here
-// outlives the scan that holds it — state that must survive (orient,
-// entries) is written into fresh copy-on-write shard baselines instead.
+// but the spare shard states outlives the scan that holds it — state
+// that must survive (entries, plans) is written into the copy-on-write
+// shard states instead.
 type scratch struct {
 	dirtyPool  []bool // per canonical pool
 	dirtyCycle []bool // per cycle
@@ -222,21 +253,23 @@ type scratch struct {
 	// scan; dirtyShards lists the shards with any.
 	shardCycles [][]int
 	dirtyShards []int
-	shardErrs   []error // per dirtyShards position, set by phase-A workers
 	// newShard[s] is shard s's copy-on-write baseline this scan (nil =
 	// clean, shares the previous baseline).
-	newShard []*shardBase
-	// newLoop[ci] is the freshly built loop of a dirty profitable cycle
-	// (stale entries are never read — only cycles dirty this scan are).
-	newLoop   []*strategy.Loop
+	newShard  []*shardBase
 	loopIdx   []int32 // per cycle: loop index this scan, or -1
-	loops     []*strategy.Loop
-	loopCycle []int  // per loop: owning cycle
-	reopt     []bool // per loop: must re-run Optimize
+	loopCycle []int   // per loop: owning cycle
+	reopt     []bool  // per loop: must re-optimize
 	jobs      []int
-	all       []Result
 	symbols   []string
-	// keys is assembleReport's ranking buffer.
+	// prices is this scan's price map laid out by token index.
+	prices strategy.NodePrices
+	// ws[w] is worker w's kernel workspace.
+	ws []strategy.Workspace
+	// spares[s] is a state of shard s that no baseline references any
+	// more, reused as its next copy-on-write target so a dirty scan does
+	// not allocate its shards' state afresh.
+	spares []*shardBase
+	// keys is the ranking buffer.
 	keys []rankKey
 	// det is the report-assembly view of the scan, rebuilt in place each
 	// block so the steady-state path does not heap-allocate a detection.
@@ -266,12 +299,12 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 		s.shardCycles[i] = s.shardCycles[i][:0]
 	}
 	s.dirtyShards = s.dirtyShards[:0]
-	s.shardErrs = s.shardErrs[:0]
 	s.newShard = growSlice(s.newShard, nShards)
 	clear(s.newShard)
-	s.newLoop = growSlice(s.newLoop, nCycles)
+	if len(s.spares) != nShards {
+		s.spares = make([]*shardBase, nShards)
+	}
 	s.loopIdx = growSlice(s.loopIdx, nCycles)
-	s.loops = s.loops[:0]
 	s.loopCycle = s.loopCycle[:0]
 	s.reopt = s.reopt[:0]
 	s.jobs = s.jobs[:0]
@@ -308,9 +341,11 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		return Report{}, errNoPools
 	}
 
-	base, ok := d.snapshot()
+	base, ok, scr := d.begin()
+	defer d.end(scr)
 	if !ok || !base.usable(pools) {
 		d.bump(true)
+		clear(scr.spares) // sized for the topology being replaced
 		return d.capture(ctx, pools, prices, workers)
 	}
 	d.bump(false)
@@ -332,8 +367,6 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		return Report{}, err
 	}
 
-	scr := d.checkoutScratch()
-	defer d.putScratch(scr)
 	scr.reset(len(pools), len(top.cycles), plan.n)
 
 	// Dirty pools: the reserve diff against the captured baseline is
@@ -377,43 +410,28 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	}
 
 	// Phase A — shard re-orientation, dirty shards in parallel: each
-	// dirty shard clones its baseline (copy-on-write), re-orients its
-	// dirty cycles against the fresh reserves, and rebuilds the loops of
-	// the profitable ones.
+	// dirty shard copies its baseline (copy-on-write, into its spare
+	// state when it has one) and re-orients its dirty cycles against the
+	// fresh reserves through their hop programs. No loop is built: a
+	// loop is a Loop only once it is served.
 	if n := len(scr.dirtyShards); n > 0 {
-		scr.shardErrs = growSlice(scr.shardErrs, n)
-		clear(scr.shardErrs)
+		for _, s := range scr.dirtyShards {
+			scr.newShard[s] = scr.takeSpare(s)
+		}
 		//arblint:ignore hotpath dirty-shard fan-out only: clean steady-state scans never reach this branch, and the capture is one closure per dirty scan
 		forEachIndex(ctx, workers, d.cfg.Parallelism, n, func(k int) bool {
 			s := scr.dirtyShards[k]
-			sb := cloneShardBase(base.shards[s])
+			sb := copyShardBase(scr.newShard[s], base.shards[s])
 			scr.newShard[s] = sb
 			for _, ci := range scr.shardCycles[s] {
 				lo := plan.localOf[ci]
-				o, err := orientCycle(g, top.cycles[ci])
-				if err != nil {
-					scr.shardErrs[k] = err
-					return false
+				o := top.orient(pools, ci)
+				if sb.entries[lo] = (deltaEntry{orient: o}); o == orientNone {
+					sb.served[lo].Store(nil) // drop the stale capture
 				}
-				sb.orient[lo] = o
-				if o == orientNone {
-					sb.entries[lo] = nil // drop the stale capture
-					continue
-				}
-				loop, err := loopFromCycle(g, top.cycles[ci], o)
-				if err != nil {
-					scr.shardErrs[k] = err
-					return false
-				}
-				scr.newLoop[ci] = loop
 			}
 			return true
 		})
-		for _, err := range scr.shardErrs {
-			if err != nil {
-				return Report{}, err
-			}
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
@@ -424,34 +442,20 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		}
 	}
 
-	// Stitch: materialize the detected loop list in global cycle order —
-	// exactly the order a full scan detects in — reading each cycle's
+	// Stitch: number the detected loops in global cycle order — exactly
+	// the order a full scan detects in — reading each cycle's
 	// orientation from its shard (the fresh clone when dirty, the shared
 	// baseline when clean).
 	for ci := range top.cycles {
-		s := plan.shardOf[ci]
-		lo := plan.localOf[ci]
-		sb := scr.newShard[s]
-		if sb == nil {
-			sb = base.shards[s]
-		}
-		o := sb.orient[lo]
-		if o == orientNone {
+		if scr.state(&base, plan, ci).orient == orientNone {
 			scr.loopIdx[ci] = -1
 			continue
 		}
-		dirty := scr.dirtyCycle[ci]
-		var loop *strategy.Loop
-		if dirty {
-			loop = scr.newLoop[ci]
-		} else {
-			loop = sb.entries[lo].loop
-		}
-		scr.loopIdx[ci] = int32(len(scr.loops))
-		scr.loops = append(scr.loops, loop)
+		scr.loopIdx[ci] = int32(len(scr.loopCycle))
 		scr.loopCycle = append(scr.loopCycle, ci)
-		scr.reopt = append(scr.reopt, dirty)
+		scr.reopt = append(scr.reopt, scr.dirtyCycle[ci])
 	}
+	loops := len(scr.loopCycle)
 
 	if timed {
 		now := time.Now()
@@ -462,7 +466,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	// Prices are re-fetched every scan (one batched call, the same set a
 	// full scan would fetch). A moved price re-optimizes every loop
 	// touching the token — cached Monetized values are stale for it —
-	// and wakes the loop's shard for the copy-on-write commit.
+	// and wakes the loop's shard for the copy-on-write commit. A price
+	// that vanished moved, whatever it was before.
 	scr.symbols = top.priceSymbols(scr.symbols, scr.loopIdx)
 	pm, degraded, err := fetchPriceSymbols(ctx, prices, scr.symbols, d.cfg.StageTimeout)
 	if err != nil {
@@ -471,7 +476,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	priceMoved := false
 	for _, tok := range scr.symbols {
 		old, ok := base.prices[tok]
-		if ok && old == pm[tok] {
+		if cur, ok2 := pm[tok]; ok && ok2 && old == cur {
 			continue
 		}
 		priceMoved = true
@@ -482,56 +487,52 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 			}
 			scr.reopt[li] = true
 			if s := plan.shardOf[ci]; scr.newShard[s] == nil {
-				scr.newShard[s] = cloneShardBase(base.shards[s])
+				scr.newShard[s] = copyShardBase(scr.takeSpare(int(s)), base.shards[s])
 				if m != nil {
 					m.shardWake(int(s))
 				}
 			}
 		}
 	}
+	scr.prices.Reset(pm, top.tokens)
 	if timed {
 		now := time.Now()
 		m.StagePrices.Observe(now.Sub(t))
 		t = now
 	}
 
-	// Phase B — optimization fan-out over the affected loops (chunked,
-	// parallel); every clean loop merges from its shard's capture.
-	scr.all = growSlice(scr.all, len(scr.loops))
-	for li, loop := range scr.loops {
-		if scr.reopt[li] {
+	// Phase B — re-optimize the affected loops into their copy-on-write
+	// entries (parallel when more than one worker); every clean loop
+	// keeps its shard's capture.
+	for li, reopt := range scr.reopt {
+		if reopt {
 			scr.jobs = append(scr.jobs, li)
-			scr.all[li] = Result{Index: li, Loop: loop}
-			continue
 		}
-		ci := scr.loopCycle[li]
-		sb := scr.newShard[plan.shardOf[ci]]
-		if sb == nil {
-			sb = base.shards[plan.shardOf[ci]]
-		}
-		e := sb.entries[plan.localOf[ci]]
-		scr.all[li] = Result{Index: li, Loop: e.loop, Result: e.result, Err: e.err}
 	}
-	optimizeInto(ctx, scr.loops, pm, scr.jobs, scr.all, d.cfg, workers)
+	par := min(d.cfg.Parallelism, len(scr.jobs))
+	scr.ws = growSlice(scr.ws, max(par, 1))
+	if par <= 1 {
+		d.reoptimize(ctx, scr, &scr.ws[0], top, plan, pools, pm, scr.jobs)
+	} else {
+		// One contiguous share of the jobs, and one workspace, per worker.
+		//arblint:ignore hotpath parallel fan-out only: a single-worker scan re-optimizes inline, and the capture is one closure per scan
+		forEachIndex(ctx, workers, par, par, func(w int) bool {
+			n := len(scr.jobs)
+			d.reoptimize(ctx, scr, &scr.ws[w], top, plan, pools, pm, scr.jobs[w*n/par:(w+1)*n/par])
+			return true
+		})
+	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
 	if m != nil {
 		m.LoopsReoptimized.Add(uint64(len(scr.jobs)))
-		m.LoopsReused.Add(uint64(len(scr.loops) - len(scr.jobs)))
+		m.LoopsReused.Add(uint64(loops - len(scr.jobs)))
 		if timed {
 			now := time.Now()
 			m.StageOptimize.Observe(now.Sub(t))
 			t = now
 		}
-	}
-
-	// Point the copy-on-write shard entries at the fresh outcomes.
-	for _, li := range scr.jobs {
-		ci := scr.loopCycle[li]
-		r := &scr.all[li]
-		//arblint:ignore hotpath the entry outlives the scan: the committed baseline holds it until its loop re-optimizes again
-		scr.newShard[plan.shardOf[ci]].entries[plan.localOf[ci]] = &deltaEntry{loop: r.Loop, result: r.Result, err: r.Err}
 	}
 	shardsScanned := 0
 	for _, sb := range scr.newShard {
@@ -540,12 +541,42 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		}
 	}
 
-	// assembleReport only reads the detection within the call, so the
-	// scratch arena carries it across blocks instead of the heap.
-	scr.det = detection{graph: g, top: top, loops: scr.loops, prices: pm, cacheHit: true, degraded: degraded}
-	rep, err := assembleReport(&scr.det, d.cfg, scr.all, &scr.keys, len(scr.jobs), len(scr.loops)-len(scr.jobs))
-	if err != nil {
-		return Report{}, err
+	// Rank every detected loop by its entry, then serve the kept ones:
+	// only they get a Loop and a Result, built once and cached on the
+	// entry until its loop re-optimizes.
+	failed, firstFailed := 0, -1
+	ranked := scr.keys[:0]
+	for li, ci := range scr.loopCycle {
+		e := scr.state(&base, plan, ci)
+		if e.err != nil {
+			failed++
+			if firstFailed < 0 {
+				firstFailed = li
+			}
+			continue
+		}
+		if e.profit < d.cfg.MinProfitUSD {
+			continue
+		}
+		ranked = append(ranked, rankKey{profit: e.profit, index: li})
+	}
+	scr.keys = ranked
+	if failed > 0 && failed == loops {
+		ci := scr.loopCycle[firstFailed]
+		first := scr.state(&base, plan, ci)
+		//arblint:ignore hotpath systemic-failure branch only: the scan fails, and the first failed loop is built to name it
+		return Report{}, systemicError(strategy.LoopFromHops(pools, top.hops(ci, first.orient), top.tokens), first.err)
+	}
+	// The detection view lives in the scratch arena, not on the heap.
+	scr.det = detection{graph: g, top: top, cacheHit: true, degraded: degraded}
+	rep, ranked := scr.det.report(d.cfg, ranked, loops, failed, len(scr.jobs), loops-len(scr.jobs))
+	for j, k := range ranked {
+		ci := scr.loopCycle[k.index]
+		sf, err := d.served(scr, &base, plan, top, pools, ci)
+		if err != nil {
+			return Report{}, err
+		}
+		rep.Results[j] = Result{Index: k.index, Loop: sf.Loop, Result: sf.Result}
 	}
 	rep.ShardsScanned = shardsScanned
 
@@ -573,7 +604,14 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		next.reserves = reserves
 		next.prices = pm
 		next.shards = shards
-		d.commitBase(next, shardsScanned)
+		if d.commitBase(next, shardsScanned) {
+			for s, sb := range scr.newShard {
+				if sb != nil {
+					scr.spares[s] = base.shards[s]
+				}
+			}
+		}
+		clear(scr.newShard) // the baseline's now
 	}
 	if timed {
 		now := time.Now()
@@ -581,6 +619,93 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		m.ScanTotal.Observe(now.Sub(start))
 	}
 	return rep, nil
+}
+
+// takeSpare returns shard s's spare state, or nil when it has none.
+func (scr *scratch) takeSpare(s int) *shardBase {
+	sb := scr.spares[s]
+	scr.spares[s] = nil
+	return sb
+}
+
+// shard returns shard s's state this scan: its copy-on-write clone when
+// the scan woke it, the baseline's otherwise.
+func (scr *scratch) shard(base *baseline, s int32) *shardBase {
+	if sb := scr.newShard[s]; sb != nil {
+		return sb
+	}
+	return base.shards[s]
+}
+
+// state returns cycle ci's entry this scan.
+func (scr *scratch) state(base *baseline, plan *shardPlan, ci int) *deltaEntry {
+	return &scr.shard(base, plan.shardOf[ci]).entries[plan.localOf[ci]]
+}
+
+// reoptimize runs the strategy on each job loop and writes the outcome
+// into its cycle's copy-on-write entry: a built-in strategy through its
+// kernel in ws, which stores the plan and builds nothing, any other
+// through Optimize on a freshly built Loop, whose Result is the served
+// form. Panics are contained as optimizeOne contains them.
+//
+//arblint:hotpath
+func (d *Delta) reoptimize(ctx context.Context, scr *scratch, ws *strategy.Workspace, top *topology, plan *shardPlan, pools []*amm.Pool, pm strategy.PriceMap, jobs []int) {
+	for _, li := range jobs {
+		if ctx.Err() != nil {
+			return
+		}
+		ci := scr.loopCycle[li]
+		sb, lo := scr.newShard[plan.shardOf[ci]], plan.localOf[ci]
+		e := &sb.entries[lo]
+		hops := top.hops(ci, e.orient)
+		var sf *strategy.Served
+		if d.kernel != nil {
+			var start int
+			start, e.profit, e.err = solveOne(d.kernel, ws, pools, hops, &scr.prices, plan.planOf(sb, ci, len(hops)), d.cfg.Metrics)
+			e.start = int32(start)
+		} else {
+			loop := strategy.LoopFromHops(pools, hops, top.tokens)
+			res, err := optimizeOne(ctx, d.cfg.Strategy, loop, pm, d.cfg.Metrics)
+			e.profit, e.err = res.Monetized, err
+			if err == nil {
+				//arblint:ignore hotpath a strategy from outside package strategy has no kernel: its Result is the served form, kept with the entry
+				sf = &strategy.Served{Loop: loop, Result: res}
+			}
+		}
+		sb.served[lo].Store(sf)
+	}
+}
+
+// solveOne is optimizeOne for a built-in strategy's kernel: a panic fails
+// the loop with ErrStrategyPanic instead of the process.
+func solveOne(k strategy.Kernel, ws *strategy.Workspace, pools []*amm.Pool, hops []strategy.HopIndex, np *strategy.NodePrices, plan []float64, m *Metrics) (start int, profit float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if m != nil {
+				m.StrategyPanics.Inc()
+			}
+			start, profit, err = 0, 0, fmt.Errorf("%w: %v", ErrStrategyPanic, r)
+		}
+	}()
+	return strategy.SolveHops(k, ws, pools, hops, np, plan)
+}
+
+// served returns cycle ci's served form, building it from the entry's
+// plan (strategy.Materialize) and caching it on the entry when the loop
+// has none yet. Only a built-in strategy's entries lack one.
+func (d *Delta) served(scr *scratch, base *baseline, plan *shardPlan, top *topology, pools []*amm.Pool, ci int) (*strategy.Served, error) {
+	sb, lo := scr.shard(base, plan.shardOf[ci]), plan.localOf[ci]
+	if sf := sb.served[lo].Load(); sf != nil {
+		return sf, nil
+	}
+	e := &sb.entries[lo]
+	hops := top.hops(ci, e.orient)
+	sf, err := strategy.Materialize(&scr.ws[0], d.kernel.Name(), pools, hops, &scr.prices, plan.planOf(sb, ci, len(hops)), int(e.start))
+	if err != nil {
+		return nil, err
+	}
+	sb.served[lo].Store(sf)
+	return sf, nil
 }
 
 // capture is the full-scan fallback: one complete detection +
@@ -637,7 +762,7 @@ func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.Pr
 		meta:     meta,
 		reserves: reserves,
 		prices:   det.prices,
-		shards:   splitCapture(plan, det.orient, loopCycle, all),
+		shards:   splitCapture(plan, det.orient, loopCycle, all, d.kernel != nil),
 	}, plan.n)
 	rep.ShardsScanned = plan.n
 	if m != nil {
@@ -652,11 +777,16 @@ func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.Pr
 // commitBase replaces the captured baseline with a freshly built one
 // (dirty shard baselines are fresh copies, clean ones shared — either
 // way nothing a concurrent snapshot holds is mutated). Takes the lock
-// itself.
-func (d *Delta) commitBase(b baseline, shardsScanned int) {
+// itself. It reports whether the committing scan is the only one in
+// flight: then no scan holds a snapshot with the shard states the
+// commit replaced, and none ever will, so they may be reused as spares.
+// With another scan in flight they may not: it may still read them, or
+// commit them back into the baseline.
+func (d *Delta) commitBase(b baseline, shardsScanned int) (alone bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.valid = true
 	d.base = b
 	d.shardScans += uint64(shardsScanned)
+	return d.inflight == 1
 }

@@ -17,7 +17,7 @@ import (
 
 // deltaMarket builds the §VI synthetic market as mutable pool values plus
 // its CEX price table.
-func deltaMarket(t *testing.T) ([]*amm.Pool, map[string]float64) {
+func deltaMarket(t testing.TB) ([]*amm.Pool, map[string]float64) {
 	t.Helper()
 	snap, err := market.Generate(market.DefaultGeneratorConfig())
 	if err != nil {
@@ -33,7 +33,7 @@ func deltaMarket(t *testing.T) ([]*amm.Pool, map[string]float64) {
 
 // rebuild returns fresh pool objects with the same values — what a real
 // PoolSource hands out on every poll (never the same pointers).
-func rebuild(t *testing.T, pools []*amm.Pool) []*amm.Pool {
+func rebuild(t testing.TB, pools []*amm.Pool) []*amm.Pool {
 	t.Helper()
 	out := make([]*amm.Pool, len(pools))
 	for i, p := range pools {
@@ -48,7 +48,7 @@ func rebuild(t *testing.T, pools []*amm.Pool) []*amm.Pool {
 
 // perturb nudges the reserves of n randomly chosen pools, returning a
 // fresh slice (clean pools are also fresh objects with equal values).
-func perturb(t *testing.T, rng *rand.Rand, pools []*amm.Pool, n int) []*amm.Pool {
+func perturb(t testing.TB, rng *rand.Rand, pools []*amm.Pool, n int) []*amm.Pool {
 	t.Helper()
 	out := rebuild(t, pools)
 	for _, i := range rng.Perm(len(out))[:n] {

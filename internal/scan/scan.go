@@ -4,8 +4,10 @@
 // needed CEX price in one batched call, and fan the per-loop optimization
 // out over a bounded worker pool. Detection is sequential (it is a single
 // graph traversal); optimization is the hot loop the paper's §VII runtime
-// table measures, and parallelizes perfectly because loops are
-// independent.
+// table measures. Loops are independent, so it needs no coordination,
+// but with the exact convex solve at about 1 µs per loop the fan-out
+// does not always pay: a whole-market Convex scan measured 0.60–0.84× at
+// parallelism 2 against 1 on a 2-CPU Xeon (ROADMAP item 4).
 //
 // Detection itself is split in two phases. The *topology* phase — cycle
 // enumeration over the token graph — depends only on which pools exist,
@@ -40,7 +42,8 @@ import (
 var errNoPools = errors.New("scan: no pools to scan")
 
 // ErrStrategyPanic wraps a panic recovered from a Strategy.Optimize
-// call. The scan engine contains per-loop panics: the loop is reported
+// call, or from a built-in strategy's kernel on a delta scan. The scan
+// engine contains per-loop panics: the loop is reported
 // as failed (Report.Failed, Result.Err) and the rest of the scan
 // proceeds — a buggy custom strategy costs one loop, not the process.
 // Recovered panics are also counted in Metrics.StrategyPanics.
@@ -49,22 +52,9 @@ var ErrStrategyPanic = errors.New("scan: strategy panicked")
 // LoopFromDirected converts a detected directed cycle into a strategy
 // loop, resolving pools and token keys through the graph.
 func LoopFromDirected(g *graph.Graph, d cycles.Directed) (*strategy.Loop, error) {
-	// A directed traversal is its own node and pool order walked forward.
-	return loopFromCycle(g, cycles.Cycle(d), orientForward)
-}
-
-// loopFromCycle builds the strategy loop of cycle c traversed in
-// orientation o, walking the cycle's own indices instead of copying the
-// traversal out first.
-func loopFromCycle(g *graph.Graph, c cycles.Cycle, o int8) (*strategy.Loop, error) {
-	hops := make([]strategy.Hop, c.Len())
-	for i := range hops {
-		node, pool := hopOf(c, o, i)
-		hops[i] = strategy.Hop{Pool: g.Pool(pool), TokenIn: g.Node(node)}
-	}
-	l, err := strategy.NewLoop(hops)
+	l, err := strategy.NewLoop(graphHops(g, d.Nodes, d.Pools))
 	if err != nil {
-		return nil, fmt.Errorf("scan: directed cycle %v: %w", directedFor(c, o), err)
+		return nil, fmt.Errorf("scan: directed cycle %v: %w", d, err)
 	}
 	return l, nil
 }
@@ -184,10 +174,10 @@ type Report struct {
 	// TopologyCacheHit reports whether detection reused a cached cycle
 	// enumeration (always false when Config.Cache is nil).
 	TopologyCacheHit bool
-	// LoopsReoptimized counts loops whose Strategy.Optimize actually ran
-	// this scan. A full scan re-optimizes every detected loop; a delta
-	// scan (Delta.Scan) only the loops touching a dirty pool or a moved
-	// price.
+	// LoopsReoptimized counts loops whose strategy actually ran this
+	// scan: Strategy.Optimize, or a built-in strategy's kernel on a delta
+	// scan. A full scan re-optimizes every detected loop; a delta scan
+	// (Delta.Scan) only the loops touching a dirty pool or a moved price.
 	LoopsReoptimized int
 	// LoopsReused counts loops merged from the previous scan's results
 	// without re-optimization (always 0 for a full scan).
@@ -229,48 +219,6 @@ const (
 	orientReverse int8 = -1
 )
 
-// orientCycle returns the profitable orientation of a cycle against the
-// current reserves, mirroring cycles.ArbitrageLoops (forward tested
-// first). Each orientation's price product multiplies the hops in
-// traversal order, as cycles.PriceProduct does, so the products are
-// bit-identical without materializing either traversal.
-func orientCycle(g *graph.Graph, c cycles.Cycle) (int8, error) {
-	for _, o := range [...]int8{orientForward, orientReverse} {
-		prod := 1.0
-		for i := range c.Len() {
-			node, pool := hopOf(c, o, i)
-			p, err := g.Pool(pool).SpotPrice(g.Node(node))
-			if err != nil {
-				return orientNone, fmt.Errorf("hop %d: %w", i, err)
-			}
-			prod *= p
-		}
-		if prod > 1 {
-			return o, nil
-		}
-	}
-	return orientNone, nil
-}
-
-// hopOf returns hop i of cycle c traversed in orientation o, as its input
-// node and its pool: element i of directedFor(c, o), read in place.
-func hopOf(c cycles.Cycle, o int8, i int) (node, pool int) {
-	if o == orientReverse {
-		k := len(c.Nodes)
-		return c.Nodes[(k-i)%k], c.Pools[k-1-i]
-	}
-	return c.Nodes[i], c.Pools[i]
-}
-
-// directedFor returns the directed traversal of a cycle for a non-none
-// orientation. Only error messages materialize it.
-func directedFor(c cycles.Cycle, o int8) cycles.Directed {
-	if o == orientReverse {
-		return c.Reverse()
-	}
-	return c.Forward()
-}
-
 // enumerateTopology is the topology phase of detection: the cycle
 // enumeration over the token graph, the expensive half of a scan, plus
 // the pool→cycle and token→cycle inverted indexes delta scans need. With
@@ -300,7 +248,10 @@ func enumerateTopology(pools []*amm.Pool, cfg Config) (*graph.Graph, *topology, 
 	if err != nil {
 		return nil, nil, false, err
 	}
-	top := newTopology(g, cs)
+	top, err := newTopology(g, cs)
+	if err != nil {
+		return nil, nil, false, err
+	}
 	if cfg.Cache != nil {
 		cfg.Cache.store(key, top)
 	}
@@ -336,22 +287,15 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 		loopOf:   make([]int32, len(cs)),
 		cacheHit: hit,
 	}
-	for ci, c := range cs {
-		o, err := orientCycle(g, c)
-		if err != nil {
-			return nil, err
-		}
+	for ci := range cs {
+		o := top.orient(pools, ci)
 		d.orient[ci] = o
 		d.loopOf[ci] = -1
 		if o == orientNone {
 			continue
 		}
-		loop, err := loopFromCycle(g, c, o)
-		if err != nil {
-			return nil, err
-		}
 		d.loopOf[ci] = int32(len(d.loops))
-		d.loops = append(d.loops, loop)
+		d.loops = append(d.loops, strategy.LoopFromHops(pools, top.hops(ci, o), top.tokens))
 	}
 
 	if m != nil {
@@ -553,19 +497,29 @@ func assembleReport(d *detection, cfg Config, all []Result, keys *[]rankKey, reo
 	}
 	*keys = ranked
 	if failed > 0 && failed == len(all) {
-		// Every loop failed — a systemic cause (e.g. a price-map hole);
-		// surface it rather than an empty report. Partial failures are
-		// reported via Failed so callers can decide, and cost no error
-		// formatting.
 		r := &all[firstFailed]
-		return Report{}, fmt.Errorf("scan: loop %s: %w", r.Loop, r.Err)
+		return Report{}, systemicError(r.Loop, r.Err)
 	}
-
-	ranked = rankTop(ranked, cfg.TopK)
-	results := make([]Result, len(ranked))
+	rep, ranked := d.report(cfg, ranked, len(all), failed, reoptimized, reused)
 	for j, k := range ranked {
-		results[j] = all[k.index]
+		rep.Results[j] = all[k.index]
 	}
+	return rep, nil
+}
+
+// systemicError is a scan's error when every loop failed — a systemic
+// cause (e.g. a price-map hole) surfaced rather than an empty report.
+// Partial failures are reported via Failed so callers can decide, and
+// cost no error formatting.
+func systemicError(first *strategy.Loop, err error) error {
+	return fmt.Errorf("scan: loop %s: %w", first, err)
+}
+
+// report ranks the keys of the loops that passed MinProfitUSD and returns
+// the report over loops detected loops, its Results sized for the kept
+// keys it also returns, for the caller to fill in rank order.
+func (d *detection) report(cfg Config, keys []rankKey, loops, failed, reoptimized, reused int) (Report, []rankKey) {
+	keys = rankTop(keys, cfg.TopK)
 	if d.degraded && cfg.Metrics != nil {
 		cfg.Metrics.DegradedScans.Inc()
 	}
@@ -575,14 +529,14 @@ func assembleReport(d *detection, cfg Config, all []Result, keys *[]rankKey, reo
 		Tokens:           d.graph.NumNodes(),
 		Pools:            d.graph.NumEdges(),
 		CyclesExamined:   len(d.top.cycles),
-		LoopsDetected:    len(d.loops),
+		LoopsDetected:    loops,
 		Failed:           failed,
 		TopologyCacheHit: d.cacheHit,
 		LoopsReoptimized: reoptimized,
 		LoopsReused:      reused,
 		Degraded:         d.degraded,
-		Results:          results,
-	}, nil
+		Results:          make([]Result, len(keys)),
+	}, keys
 }
 
 // rankKey is one rankable result: its profit and its index in the
@@ -595,7 +549,8 @@ type rankKey struct {
 }
 
 // compareKeys is the report's order: profit descending (±0 tie), then
-// index. Profits are finite: optimizeOne fails a non-finite one.
+// index. Profits are finite: optimizeOne and the kernel fail a
+// non-finite one.
 func compareKeys(a, b rankKey) int {
 	if c := cmp.Compare(b.profit, a.profit); c != 0 {
 		return c

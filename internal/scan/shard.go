@@ -1,7 +1,7 @@
 // Sharding: the delta engine's unit of parallelism and of baseline
 // ownership. The cycle set is partitioned once per topology into N
-// shards; each shard owns the captured per-cycle state (orientation +
-// optimized result) for its cycles, and a block's delta scan touches
+// shards; each shard owns the captured per-cycle state (orientation,
+// outcome and plan) for its cycles, and a block's delta scan touches
 // only the shards whose dirty set is non-empty — re-orienting in
 // parallel, committing copy-on-write per shard, and leaving clean
 // shards' baselines shared with the previous scan untouched.
@@ -15,7 +15,12 @@
 // serializing behind a single hot shard.
 package scan
 
-import "slices"
+import (
+	"slices"
+	"sync/atomic"
+
+	"arbloop/internal/strategy"
+)
 
 // shardPlan is the immutable partition of a topology's cycle set into
 // shards. It depends only on the topology and the shard count, so it is
@@ -31,6 +36,10 @@ type shardPlan struct {
 	localOf []int32
 	// cycles[s] lists the global cycle indices of shard s, ascending.
 	cycles [][]int
+	// planOff[ci] is where ci's plan starts in its shard's plan slab, one
+	// input per hop; planLen[s] is shard s's slab length.
+	planOff []int32
+	planLen []int
 }
 
 // buildShardPlan partitions the cycle set into nshards chunks, keeping
@@ -46,6 +55,8 @@ func buildShardPlan(top *topology, nshards int) *shardPlan {
 		shardOf: make([]int32, total),
 		localOf: make([]int32, total),
 		cycles:  make([][]int, nshards),
+		planOff: make([]int32, total),
+		planLen: make([]int, nshards),
 	}
 	if total == 0 {
 		return p
@@ -113,57 +124,97 @@ func buildShardPlan(top *topology, nshards int) *shardPlan {
 		for lo, ci := range sorted {
 			p.shardOf[ci] = int32(s)
 			p.localOf[ci] = int32(lo)
+			p.planOff[ci] = int32(p.planLen[s])
+			p.planLen[s] += top.cycles[ci].Len()
 		}
 	}
 	return p
 }
 
-// shardBase is one shard's captured scan state, immutable once
-// committed: the orientation and (for profitable orientations) the
-// optimized outcome of every cycle the shard owns, indexed by the
-// shard's local cycle order. Entries are held by pointer and are
-// themselves immutable, so consecutive baselines share every entry whose
-// loop did not re-optimize. Clean shards share their whole shardBase
-// across consecutive baselines — commit replaces only dirty shards.
-type shardBase struct {
-	orient []int8
-	// entries[lo] is nil when the cycle has no profitable orientation.
-	entries []*deltaEntry
+// planOf returns cycle ci's plan in its shard's state sb.
+func (p *shardPlan) planOf(sb *shardBase, ci, hops int) []float64 {
+	off := int(p.planOff[ci])
+	return sb.plans[off : off+hops : off+hops]
 }
 
-// cloneShardBase returns a mutable copy of a shard's captured state —
-// the copy-on-write step a dirty shard performs before re-orienting. It
-// copies the entry pointers, not the entries: the scan replaces the
-// pointers of the cycles it re-optimizes or drops and never writes
-// through one, so the previous baseline stays intact for concurrent
-// scans that snapshotted it.
-func cloneShardBase(sb *shardBase) *shardBase {
-	return &shardBase{orient: slices.Clone(sb.orient), entries: slices.Clone(sb.entries)}
+// shardBase is one shard's captured scan state, immutable once
+// committed except for its served-form cache: each cycle's orientation
+// and, for a profitable one, its outcome, indexed by the shard's local
+// cycle order. Everything is held by value in a few slabs, so a
+// committed baseline references no per-scan allocation but its served
+// forms, each its own. Clean shards share their whole shardBase across
+// consecutive baselines — commit replaces only dirty shards.
+type shardBase struct {
+	entries []deltaEntry
+	// plans holds, for a built-in strategy, each entry's plan as
+	// strategy.SolveHops returned it, at shardPlan.planOff.
+	plans []float64
+	// served[lo] caches entry lo's served form: built for a built-in
+	// strategy only when the loop makes a report (strategy.Materialize),
+	// at optimization for any other. A scan may fill it on a shard that
+	// concurrent scans share — every scan would build the same form — so
+	// it is written atomically. It is cleared when the loop re-optimizes.
+	served []atomic.Pointer[strategy.Served]
+}
+
+// newShardBase returns an empty state for n cycles whose plans take
+// plans floats.
+func newShardBase(n, plans int) *shardBase {
+	return &shardBase{
+		entries: make([]deltaEntry, n),
+		plans:   make([]float64, plans),
+		served:  make([]atomic.Pointer[strategy.Served], n),
+	}
+}
+
+// copyShardBase makes dst a mutable copy of a shard's captured state —
+// the copy-on-write step a dirty shard performs before re-orienting —
+// and returns it, allocating when dst is nil or sized for another
+// shard. The previous baseline stays intact for concurrent scans that
+// snapshotted it.
+func copyShardBase(dst, sb *shardBase) *shardBase {
+	if dst == nil || len(dst.entries) != len(sb.entries) || len(dst.plans) != len(sb.plans) {
+		dst = newShardBase(len(sb.entries), len(sb.plans))
+	}
+	copy(dst.entries, sb.entries)
+	copy(dst.plans, sb.plans)
+	for lo := range sb.served {
+		dst.served[lo].Store(sb.served[lo].Load())
+	}
+	return dst
 }
 
 // splitCapture distributes a full scan's global per-cycle state into
 // per-shard baselines following the plan. orient is indexed by global
 // cycle; loopCycle maps loop index → global cycle; all holds the
-// optimization outcome per loop. The entries live in one slab, one
-// allocation per capture.
-func splitCapture(plan *shardPlan, orient []int8, loopCycle []int, all []Result) []*shardBase {
+// optimization outcome per loop. A built-in strategy's results seed the
+// plans; any other strategy's are kept as served forms.
+func splitCapture(plan *shardPlan, orient []int8, loopCycle []int, all []Result, kernel bool) []*shardBase {
 	shards := make([]*shardBase, plan.n)
 	for s := 0; s < plan.n; s++ {
 		cs := plan.cycles[s]
-		sb := &shardBase{
-			orient:  make([]int8, len(cs)),
-			entries: make([]*deltaEntry, len(cs)),
+		plans := 0
+		if kernel {
+			plans = plan.planLen[s]
 		}
+		sb := newShardBase(len(cs), plans)
 		for lo, ci := range cs {
-			sb.orient[lo] = orient[ci]
+			sb.entries[lo].orient = orient[ci]
 		}
 		shards[s] = sb
 	}
-	slab := make([]deltaEntry, len(loopCycle))
 	for li, ci := range loopCycle {
 		r := &all[li]
-		slab[li] = deltaEntry{loop: r.Loop, result: r.Result, err: r.Err}
-		shards[plan.shardOf[ci]].entries[plan.localOf[ci]] = &slab[li]
+		sb, lo := shards[plan.shardOf[ci]], plan.localOf[ci]
+		e := &sb.entries[lo]
+		e.profit, e.err = r.Result.Monetized, r.Err
+		switch {
+		case r.Err != nil:
+		case kernel:
+			e.start = int32(strategy.StorePlan(r.Loop, r.Result, plan.planOf(sb, ci, r.Loop.Len())))
+		default:
+			sb.served[lo].Store(&strategy.Served{Loop: r.Loop, Result: r.Result})
+		}
 	}
 	return shards
 }

@@ -62,18 +62,17 @@ const maxFaceLen = 20
 // rotation, so Monetized is never below MaxMax's. A solve is
 // deterministic and allocates nothing beyond its Result.
 func Convex(l *Loop, prices PriceMap) (Result, error) {
-	w, err := staged(l, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	defer convexWSPool.Put(w)
+	return solveLoop(ConvexStrategy{}, NameConvex, l, prices)
+}
+
+func (ConvexStrategy) plan(w *convexWS) (int, error) {
 	if !w.profitable() {
 		// §IV: no arbitrage ⇒ the unique optimum is the zero plan.
 		clear(w.plan)
 	} else if !w.solve() {
-		return Result{}, fmt.Errorf("%w: %d hops, at most %d for the convex face enumeration", ErrLoopTooLong, l.Len(), maxFaceLen)
+		return 0, fmt.Errorf("%w: %d hops, at most %d for the convex face enumeration", ErrLoopTooLong, w.prob.N(), maxFaceLen)
 	}
-	return w.result(NameConvex, l, -1)
+	return -1, nil
 }
 
 // profitable reports whether the staged loop is an arbitrage loop: the

@@ -323,8 +323,9 @@ func requireSameResult(t *testing.T, name string, got, want Result) {
 // TestConvexStructuredAllocBudget pins each strategy's allocations per
 // call at length 4. The solve itself allocates nothing once the pooled
 // workspace is sized (TestConvexSolveAllocFree), so a call pays for its
-// Result: the plan slices and the net map, plus the rotated loop for a
-// single-start strategy (7 for those, 4 for Convex and ConvexRisky). Each
+// Result: one array for both plan slices and the net map, plus the
+// rotated loop for a single-start strategy (6 for those, 3 for Convex
+// and ConvexRisky). Each
 // budget adds one whole workspace (8 allocations), the most a call can
 // pay when sync.Pool drops it, as it deliberately does at random under
 // the race detector. Before every strategy ran on the one kernel, MaxMax
@@ -338,11 +339,11 @@ func TestConvexStructuredAllocBudget(t *testing.T) {
 		result int
 		run    func() (Result, error)
 	}{
-		{NameTraditional, 7, func() (Result, error) { return Traditional(l, l.Token(1), prices) }},
-		{NameMaxPrice, 7, func() (Result, error) { return MaxPrice(l, prices) }},
-		{NameMaxMax, 7, func() (Result, error) { return MaxMax(l, prices) }},
-		{NameConvex, 4, func() (Result, error) { return Convex(l, prices) }},
-		{NameConvexRisky, 4, func() (Result, error) { return ConvexRisky(l, prices) }},
+		{NameTraditional, 6, func() (Result, error) { return Traditional(l, l.Token(1), prices) }},
+		{NameMaxPrice, 6, func() (Result, error) { return MaxPrice(l, prices) }},
+		{NameMaxMax, 6, func() (Result, error) { return MaxMax(l, prices) }},
+		{NameConvex, 3, func() (Result, error) { return Convex(l, prices) }},
+		{NameConvexRisky, 3, func() (Result, error) { return ConvexRisky(l, prices) }},
 	} {
 		if _, err := c.run(); err != nil { // warm the pool
 			t.Fatal(err)

@@ -3,6 +3,8 @@ package strategy
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"arbloop/internal/amm"
@@ -15,8 +17,11 @@ import (
 // nothing beyond the Result it gets back.
 type convexWS struct {
 	prob convexopt.LoopProblem
-	plan []float64 // per-hop inputs of the plan to materialize, loop indexing
-	amts []float64 // per-hop inputs of the rotation being walked
+	// tok[i] is hop i's input token: the staged Loop's own token slice,
+	// or toks when the loop was staged from a hop program.
+	tok, toks []string
+	plan      []float64 // per-hop inputs of the plan to materialize, loop indexing
+	amts      []float64 // per-hop inputs of the rotation being walked
 	// segX and segY hold, at s·n+e, the closed-form input of the segment
 	// from free token s to free token e (e = s: the whole loop) and that
 	// input walked through the segment's hops into e.
@@ -24,6 +29,12 @@ type convexWS struct {
 }
 
 var convexWSPool = sync.Pool{New: func() any { return new(convexWS) }}
+
+// putWS returns w to the pool without keeping the staged loop alive.
+func putWS(w *convexWS) {
+	w.tok = nil
+	convexWSPool.Put(w)
+}
 
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -57,11 +68,11 @@ func StageProblem(p *convexopt.LoopProblem, l *Loop, prices PriceMap) error {
 }
 
 // staged returns a pooled workspace holding the loop's staged problem,
-// its plan scratch sized. The caller puts it back in convexWSPool.
+// its plan scratch sized. The caller puts it back with putWS.
 func staged(l *Loop, prices PriceMap) (*convexWS, error) {
 	w := convexWSPool.Get().(*convexWS)
 	if err := w.stage(l, prices); err != nil {
-		convexWSPool.Put(w)
+		putWS(w)
 		return nil, err
 	}
 	return w, nil
@@ -72,9 +83,223 @@ func (w *convexWS) stage(l *Loop, prices PriceMap) error {
 	if err := StageProblem(&w.prob, l, prices); err != nil {
 		return err
 	}
-	w.plan = growFloats(w.plan, l.Len())
-	w.amts = growFloats(w.amts, l.Len())
+	w.tok = l.tokens
+	w.size()
 	return nil
+}
+
+// size sizes the plan scratch for the staged loop.
+func (w *convexWS) size() {
+	w.plan = growFloats(w.plan, w.prob.N())
+	w.amts = growFloats(w.amts, w.prob.N())
+}
+
+// HopIndex is one hop of a loop compiled to indices: the position of its
+// pool in a canonical pool set, the position of its input token in a
+// token index, and whether that token is the pool's Token0. A scan
+// compiles each cycle once per topology, validated as NewLoop validates
+// a Loop, and stages reserves and prices through it by index.
+type HopIndex struct {
+	Pool, Token int32
+	In0         bool
+}
+
+// Reserves returns the hop's reserves in pools, oriented as
+// amm.Pool.Reserves orients them for the input token.
+func (h HopIndex) Reserves(pools []*amm.Pool) (rin, rout float64) {
+	p := pools[h.Pool]
+	if h.In0 {
+		return p.Reserve0, p.Reserve1
+	}
+	return p.Reserve1, p.Reserve0
+}
+
+// LoopFromHops builds the Loop a hop program compiles: hop i enters
+// pools[hops[i].Pool] with tokens[hops[i].Token]. The program must have
+// passed NewLoop's checks when it was compiled; they are not run again.
+func LoopFromHops(pools []*amm.Pool, hops []HopIndex, tokens []string) *Loop {
+	l := &Loop{hops: make([]Hop, len(hops)), tokens: make([]string, len(hops))}
+	for i, h := range hops {
+		l.hops[i] = Hop{Pool: pools[h.Pool], TokenIn: tokens[h.Token]}
+		l.tokens[i] = l.hops[i].TokenIn
+	}
+	return l
+}
+
+// NodePrices is a price map laid out over a token index, built once per
+// scan, so staging a compiled loop reads each price by index instead of
+// hashing its symbol.
+type NodePrices struct {
+	m      PriceMap
+	tokens []string
+	usd    []float64 // NaN where m holds no valid price
+}
+
+// Reset lays pm out over tokens, reusing the vector's storage. Both are
+// kept until the next Reset.
+func (np *NodePrices) Reset(pm PriceMap, tokens []string) {
+	np.m, np.tokens = pm, tokens
+	np.usd = growFloats(np.usd, len(tokens))
+	for t, tok := range tokens {
+		v, ok := pm[tok]
+		if !ok || v < 0 || math.IsInf(v, 0) {
+			v = math.NaN()
+		}
+		np.usd[t] = v
+	}
+}
+
+// stageHops stages the problem of the loop hops compiles, exactly as
+// StageProblem stages that Loop: each hop's γ and oriented reserves read
+// from pools by index, each input token's price from np, and the first
+// hop without a valid price failing with PriceMap.Validate's error.
+//
+//arblint:hotpath
+func (w *convexWS) stageHops(pools []*amm.Pool, hops []HopIndex, np *NodePrices) error {
+	n := len(hops)
+	w.prob.Reset(n)
+	w.toks = slices.Grow(w.toks[:0], n)[:n]
+	for i, h := range hops {
+		if p := np.usd[h.Token]; !math.IsNaN(p) {
+			w.prob.PIn[i] = p
+		} else {
+			_, err := np.m.price(np.tokens[h.Token])
+			return err
+		}
+		w.toks[i] = np.tokens[h.Token]
+		w.prob.RIn[i], w.prob.ROut[i] = h.Reserves(pools)
+		w.prob.Gamma[i] = pools[h.Pool].Gamma()
+	}
+	for i := range w.prob.POut {
+		w.prob.POut[i] = w.prob.PIn[(i+1)%n]
+	}
+	w.tok = w.toks
+	w.size()
+	return nil
+}
+
+// Kernel is a built-in strategy in the form a scan runs it on the loops
+// it holds as hop programs: a plan staged in a workspace, with no Loop
+// and no Result until the loop is served (SolveHops, Materialize). Its
+// method is unexported, so only this package's five strategies
+// implement it; a scan adapts any other Strategy through Optimize.
+type Kernel interface {
+	Strategy
+	kernel
+}
+
+// kernel stages in w.plan the strategy's plan for the problem staged in
+// w and returns the plan's start token, or -1 when the plan may net
+// several tokens (Convex, ConvexRisky).
+type kernel interface {
+	plan(w *convexWS) (start int, err error)
+}
+
+// solveLoop runs a kernel on a Loop: the body of every strategy's
+// Optimize and of its package-level function.
+func solveLoop[K kernel](k K, name string, l *Loop, prices PriceMap) (Result, error) {
+	w, err := staged(l, prices)
+	if err != nil {
+		return Result{}, err
+	}
+	defer putWS(w)
+	start, err := k.plan(w)
+	if err != nil {
+		return Result{}, err
+	}
+	return w.result(name, l, start)
+}
+
+// Workspace is the scratch SolveHops and Materialize compute in, owned
+// by their caller: a scan keeps one per worker, so its per-loop path
+// never goes through the shared pool Optimize uses. The zero value is
+// ready. A Workspace serves one goroutine at a time.
+type Workspace struct{ w convexWS }
+
+// SolveHops runs k on the loop hops compiles, staging its problem in ws
+// from pools and np, and copies the plan to plan (one input per hop,
+// loop indexing). It returns the plan's start token (see Kernel) and the
+// profit the Result Optimize returns for that loop would carry, bit for
+// bit, or the error Optimize would return. Once ws is sized, it
+// allocates only to report an error.
+//
+//arblint:hotpath
+func SolveHops(k Kernel, ws *Workspace, pools []*amm.Pool, hops []HopIndex, np *NodePrices, plan []float64) (start int, profit float64, err error) {
+	w := &ws.w
+	if err := w.stageHops(pools, hops, np); err != nil {
+		return 0, 0, err
+	}
+	if start, err = k.plan(w); err != nil {
+		return 0, 0, err
+	}
+	if profit = w.walk(start, nil); !finite(profit) {
+		return 0, 0, w.notFinite(k.Name(), profit)
+	}
+	copy(plan, w.plan)
+	return start, profit, nil
+}
+
+// Served is a loop's served form: the Loop a scan reports it as and the
+// Result Optimize returns for it.
+type Served struct {
+	Loop   *Loop
+	Result Result
+	// loops backs Loop and, for a single-start plan, Result.Loop.
+	loops [2]Loop
+}
+
+// Materialize builds, in ws, the served form of a loop SolveHops solved,
+// from the plan and start it returned: the Result Optimize returns for
+// the loop, bit for bit, without solving it again. pools and np must
+// hold the reserves and prices of the loop's tokens the solve read.
+func Materialize(ws *Workspace, name string, pools []*amm.Pool, hops []HopIndex, np *NodePrices, plan []float64, start int) (*Served, error) {
+	w := &ws.w
+	if err := w.stageHops(pools, hops, np); err != nil {
+		return nil, err
+	}
+	copy(w.plan, plan)
+	// One backing array holds the loop twice over, so a rotation is a
+	// window onto it.
+	n, m := len(hops), len(hops)
+	if start >= 0 {
+		m = 2 * n
+	}
+	hs, ts := make([]Hop, m), make([]string, m)
+	for i := range m {
+		h := hops[i%n]
+		hs[i], ts[i] = Hop{Pool: pools[h.Pool], TokenIn: np.tokens[h.Token]}, np.tokens[h.Token]
+	}
+	s := new(Served)
+	s.loops[0] = Loop{hops: hs[:n:n], tokens: ts[:n:n]}
+	s.Loop = &s.loops[0]
+	rot := s.Loop
+	if start >= 0 {
+		s.loops[1] = Loop{hops: hs[start : start+n : start+n], tokens: ts[start : start+n : start+n]}
+		rot = &s.loops[1]
+	}
+	res, err := w.build(name, s.Loop, rot, start)
+	if err != nil {
+		return nil, err
+	}
+	s.Result = res
+	return s, nil
+}
+
+// StorePlan writes the plan of res, a Result a Kernel's Optimize returned
+// for l, to plan in l's hop order and returns its start token as
+// SolveHops returns it: the inverse of Materialize, so a full scan's
+// results can seed the plans a later Materialize serves from.
+func StorePlan(l *Loop, res Result, plan []float64) (start int) {
+	start, off := -1, 0
+	if res.StartToken != "" {
+		start = slices.Index(l.tokens, res.StartToken)
+		off = start
+	}
+	n := len(plan)
+	for k, in := range res.Plan.Inputs {
+		plan[(off+k)%n] = in
+	}
+	return start
 }
 
 // compose appends hop i to the Möbius map (A, B, C), exactly as
@@ -128,35 +353,78 @@ func (w *convexWS) bestRotation() (start int, profit float64) {
 	return start, profit
 }
 
-// result materializes the plan staged in w.plan as the call's Result. A
-// single-start strategy passes its start token's index, and the Result
-// carries the loop rotated to that token; start < 0 keeps the loop's own
-// indexing. Outputs come from the staged curves, nets from the walked
-// amounts, and the profit sums price·net in the result loop's token
-// order, as Monetize does. A non-finite amount always leaves some net,
-// and so the profit, non-finite (prices are finite), so checking the
-// profit rejects every plan that is not finite.
-func (w *convexWS) result(name string, l *Loop, start int) (Result, error) {
-	n := l.Len()
+// walk returns the monetized profit of the plan staged in w.plan: each
+// token's net (the output of the hop producing it minus the input of the
+// hop consuming it) times its price, summed in the token order of the
+// result loop, which starts at start (at hop 0 when start < 0), as
+// Monetize sums. When res is non-nil it also records the plan and the
+// nets in res, in that order. Outputs come from the staged curves, so
+// SolveHops and a later Materialize compute the same bits.
+//
+//arblint:hotpath
+func (w *convexWS) walk(start int, res *Result) float64 {
+	n := w.prob.N()
 	off := max(start, 0)
-	res := Result{Strategy: name, Loop: l, NetTokens: make(map[string]float64, n)}
-	res.Plan = TradePlan{Inputs: make([]float64, n), Outputs: make([]float64, n)}
+	v := 0.0
 	for k := 0; k < n; k++ {
-		i := (off + k) % n
-		res.Plan.Inputs[k] = w.plan[i]
-		res.Plan.Outputs[k] = w.prob.F(i, w.plan[i])
+		i, prev := (off+k)%n, (off+k+n-1)%n
+		out := w.prob.F(prev, w.plan[prev])
+		net := out - w.plan[i]
+		if res != nil {
+			res.Plan.Inputs[k], res.Plan.Outputs[(k+n-1)%n] = w.plan[i], out
+			res.NetTokens[w.tok[i]] = net
+		}
+		v += net * w.prob.PIn[i]
 	}
-	for k := 0; k < n; k++ {
-		i := (off + k) % n
-		net := res.Plan.Outputs[(k+n-1)%n] - res.Plan.Inputs[k]
-		res.NetTokens[l.tokens[i]] = net
-		res.Monetized += net * w.prob.PIn[i]
+	return v
+}
+
+// result materializes the plan staged in w.plan as the call's Result on
+// l. A single-start strategy passes its start token's index, and the
+// Result carries the loop rotated to that token; start < 0 keeps the
+// loop's own indexing.
+func (w *convexWS) result(name string, l *Loop, start int) (Result, error) {
+	rot := l
+	if start >= 0 {
+		rot = l.Rotate(start)
 	}
-	if !(math.Abs(res.Monetized) <= math.MaxFloat64) {
-		return Result{}, fmt.Errorf("strategy: %s plan on %s is not finite (profit %g): %w", name, l, res.Monetized, amm.ErrNegativeAmount)
+	return w.build(name, l, rot, start)
+}
+
+// build is the one materializer: it turns the plan staged in w.plan on l
+// into a Result on rot, l rotated to start. A non-finite amount always
+// leaves some net, and so the profit, non-finite (prices are finite), so
+// checking the profit rejects every plan that is not finite.
+func (w *convexWS) build(name string, l, rot *Loop, start int) (Result, error) {
+	n := l.Len()
+	amounts := make([]float64, 2*n)
+	res := Result{Strategy: name, Loop: rot, NetTokens: make(map[string]float64, n)}
+	res.Plan = TradePlan{Inputs: amounts[:n:n], Outputs: amounts[n:]}
+	if res.Monetized = w.walk(start, &res); !finite(res.Monetized) {
+		return Result{}, w.notFinite(name, res.Monetized)
 	}
 	if start >= 0 {
-		res.Loop, res.StartToken, res.Input = l.Rotate(start), l.tokens[start], w.plan[start]
+		res.StartToken, res.Input = l.tokens[start], w.plan[start]
 	}
 	return res, nil
+}
+
+// finite reports whether v is a finite float.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
+
+// notFinite is the error for a plan on the staged loop whose profit is
+// not finite.
+func (w *convexWS) notFinite(name string, profit float64) error {
+	return fmt.Errorf("strategy: %s plan on %s is not finite (profit %g): %w", name, loopString(w.tok), profit, amm.ErrNegativeAmount)
+}
+
+// loopString renders a token cycle as "X→Y→Z→X".
+func loopString(tokens []string) string {
+	var b strings.Builder
+	for _, t := range tokens {
+		b.WriteString(t)
+		b.WriteString("→")
+	}
+	b.WriteString(tokens[0])
+	return b.String()
 }

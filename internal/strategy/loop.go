@@ -21,15 +21,19 @@
 // Traditional and MaxPrice stage one rotation's closed-form plan, MaxMax
 // the best rotation, Convex the certified rotation or the best face, and
 // ConvexRisky each hop's own optimum. One materializer turns the plan into
-// the call's only allocation, its Result; a plan whose amounts or profit
-// are not finite is an error, never a NaN result.
+// a Result; a plan whose amounts or profit are not finite is an error,
+// never a NaN result. Optimize stages a Loop and returns the Result, its
+// only allocation. A scan's delta path reaches the same kernel through
+// the Kernel interface on a loop compiled to indices: SolveHops stages
+// the problem by index and returns the plan and its profit with no
+// allocation, and Materialize later builds the Loop and the Result
+// Optimize would have returned, only for a loop the scan serves.
 package strategy
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"arbloop/internal/amm"
 )
@@ -205,15 +209,7 @@ func (l *Loop) Profitable() (bool, error) {
 }
 
 // String renders the loop as "X→Y→Z→X".
-func (l *Loop) String() string {
-	var b strings.Builder
-	for _, t := range l.tokens {
-		b.WriteString(t)
-		b.WriteString("→")
-	}
-	b.WriteString(l.tokens[0])
-	return b.String()
-}
+func (l *Loop) String() string { return loopString(l.tokens) }
 
 // PriceMap maps token keys to CEX USD prices.
 type PriceMap map[string]float64

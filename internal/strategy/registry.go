@@ -32,14 +32,14 @@ func (TraditionalStrategy) Name() string { return NameTraditional }
 
 // Optimize implements Strategy.
 func (s TraditionalStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
+	return optimize(ctx, s, l, prices)
+}
+
+func (s TraditionalStrategy) plan(w *convexWS) (int, error) {
+	if s.Start == "" {
+		return startAt(w.tok[0]).plan(w)
 	}
-	start := s.Start
-	if start == "" {
-		start = l.tokens[0]
-	}
-	return Traditional(l, start, prices)
+	return startAt(s.Start).plan(w)
 }
 
 // MaxPriceStrategy starts arbitrage from the loop token with the highest
@@ -50,11 +50,8 @@ type MaxPriceStrategy struct{}
 func (MaxPriceStrategy) Name() string { return NameMaxPrice }
 
 // Optimize implements Strategy.
-func (MaxPriceStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return MaxPrice(l, prices)
+func (s MaxPriceStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
+	return optimize(ctx, s, l, prices)
 }
 
 // MaxMaxStrategy runs Traditional from every token and keeps the best
@@ -65,11 +62,8 @@ type MaxMaxStrategy struct{}
 func (MaxMaxStrategy) Name() string { return NameMaxMax }
 
 // Optimize implements Strategy.
-func (MaxMaxStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return MaxMax(l, prices)
+func (s MaxMaxStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
+	return optimize(ctx, s, l, prices)
 }
 
 // ConvexStrategy solves the paper's problem (8) exactly (see Convex):
@@ -89,10 +83,16 @@ func (ConvexStrategy) Name() string { return NameConvex }
 
 // Optimize implements Strategy.
 func (s ConvexStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
+	return optimize(ctx, s, l, prices)
+}
+
+// optimize is every built-in's Optimize: the kernel on the loop, once
+// the context allows it.
+func optimize[K Kernel](ctx context.Context, k K, l *Loop, prices PriceMap) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return Convex(l, prices)
+	return solveLoop(k, k.Name(), l, prices)
 }
 
 // ConvexRiskyStrategy solves the shorting-allowed relaxation the paper
@@ -104,11 +104,8 @@ type ConvexRiskyStrategy struct{}
 func (ConvexRiskyStrategy) Name() string { return NameConvexRisky }
 
 // Optimize implements Strategy.
-func (ConvexRiskyStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return ConvexRisky(l, prices)
+func (s ConvexRiskyStrategy) Optimize(ctx context.Context, l *Loop, prices PriceMap) (Result, error) {
+	return optimize(ctx, s, l, prices)
 }
 
 // registry maps strategy names to implementations. The built-ins register

@@ -21,13 +21,12 @@ import "math"
 // The result's NetTokens may be negative (short positions); Monetized is
 // the net dollar value, always ≥ the safe Convex result.
 func ConvexRisky(l *Loop, prices PriceMap) (Result, error) {
-	w, err := staged(l, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	defer convexWSPool.Put(w)
+	return solveLoop(ConvexRiskyStrategy{}, NameConvexRisky, l, prices)
+}
+
+func (ConvexRiskyStrategy) plan(w *convexWS) (int, error) {
 	w.risky()
-	return w.result(NameConvexRisky, l, -1)
+	return -1, nil
 }
 
 // risky stages in w.plan each hop's decoupled optimum.

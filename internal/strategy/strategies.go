@@ -42,17 +42,20 @@ type Result struct {
 // the closed-form Möbius optimum. This is the paper's "traditional
 // strategy" with the profit monetized post hoc.
 func Traditional(l *Loop, start string, prices PriceMap) (Result, error) {
-	w, err := staged(l, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	defer convexWSPool.Put(w)
-	r := slices.Index(l.tokens, start)
+	return solveLoop(startAt(start), NameTraditional, l, prices)
+}
+
+// startAt is Traditional's kernel: the closed-form rotation from the
+// named token.
+type startAt string
+
+func (s startAt) plan(w *convexWS) (int, error) {
+	r := slices.Index(w.tok, string(s))
 	if r < 0 {
-		return Result{}, fmt.Errorf("%w: %q", ErrUnknownStart, start)
+		return 0, fmt.Errorf("%w: %q", ErrUnknownStart, string(s))
 	}
 	w.rotation(r, w.plan)
-	return w.result(NameTraditional, l, r)
+	return r, nil
 }
 
 // TraditionalAll runs Traditional from every token of the loop, in loop
@@ -73,11 +76,10 @@ func TraditionalAll(l *Loop, prices PriceMap) ([]Result, error) {
 // price (first such token on ties). The paper shows this heuristic is
 // unreliable (Figs. 2 and 6).
 func MaxPrice(l *Loop, prices PriceMap) (Result, error) {
-	w, err := staged(l, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	defer convexWSPool.Put(w)
+	return solveLoop(MaxPriceStrategy{}, NameMaxPrice, l, prices)
+}
+
+func (MaxPriceStrategy) plan(w *convexWS) (int, error) {
 	r := 0
 	for i, p := range w.prob.PIn {
 		if p > w.prob.PIn[r] {
@@ -85,7 +87,7 @@ func MaxPrice(l *Loop, prices PriceMap) (Result, error) {
 		}
 	}
 	w.rotation(r, w.plan)
-	return w.result(NameMaxPrice, l, r)
+	return r, nil
 }
 
 // MaxMax evaluates Traditional's plan from every token and returns the
@@ -93,13 +95,12 @@ func MaxPrice(l *Loop, prices PriceMap) (Result, error) {
 // the search Convex starts from. Ties keep the earliest rotation, making
 // the result deterministic.
 func MaxMax(l *Loop, prices PriceMap) (Result, error) {
-	w, err := staged(l, prices)
-	if err != nil {
-		return Result{}, err
-	}
-	defer convexWSPool.Put(w)
+	return solveLoop(MaxMaxStrategy{}, NameMaxMax, l, prices)
+}
+
+func (MaxMaxStrategy) plan(w *convexWS) (int, error) {
 	r, _ := w.bestRotation()
-	return w.result(NameMaxMax, l, r)
+	return r, nil
 }
 
 // optimalInputVariants are the ablation baselines for the single-start
