@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-go bench-convex bench-delta bench-shard bench-server bench-telemetry bench-faults chaos fuzz clean
+.PHONY: all build test race vet lint bench bench-go bench-convex bench-delta bench-server bench-telemetry bench-faults chaos fuzz clean
 
 all: build vet lint test
 
@@ -26,7 +26,8 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Regenerate BENCH_scan.json (loops/sec at parallelism 1 vs GOMAXPROCS).
+# Regenerate BENCH_scan.json (loops/sec at parallelism 1 vs GOMAXPROCS),
+# and assert a whole-market length-4 Convex scan speeds up at GOMAXPROCS.
 bench:
 	BENCH_JSON=1 $(GO) test -run TestWriteScanBenchJSON -count=1 -v .
 
@@ -41,11 +42,6 @@ bench-go:
 bench-delta:
 	$(GO) test -bench 'BenchmarkScan(FullWarm|Delta10pct)' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkScanDeltaConvexLen4' -benchmem -run '^$$' ./internal/scan
-
-# Sharded delta path smoke: tiny run counts, runs on every PR so the
-# sharded engine compiles and stays delta-engaged.
-bench-shard:
-	$(GO) test -bench 'BenchmarkScanShardedDelta' -benchtime 20x -benchmem -run '^$$' .
 
 # Report-serving smoke: the distribution tier's cached read paths
 # (plain / gzip / 304 / ?top=N) plus the per-block frame build at 200

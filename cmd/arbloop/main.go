@@ -9,7 +9,7 @@
 //	arbloop detect   [-snapshot FILE] [-len N] [-top N]
 //	arbloop optimize [-snapshot FILE] [-len N] [-loop N]
 //	arbloop execute  [-snapshot FILE] [-len N] [-loop N]
-//	arbloop serve    [-addr HOST:PORT] [-snapshot FILE] [-len N] [-strategy NAME] [-shards N] [-pprof HOST:PORT] [-block-interval D] [-noise N] [-oplog DIR] ...
+//	arbloop serve    [-addr HOST:PORT] [-snapshot FILE] [-len N] [-strategy NAME] [-pprof HOST:PORT] [-block-interval D] [-noise N] [-oplog DIR] ...
 //	arbloop replay   [-addr HOST:PORT] [-interval D] [-loop] DIR
 //
 // Without -snapshot the paper-calibrated synthetic market is generated in

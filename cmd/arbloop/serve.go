@@ -45,8 +45,7 @@ func cmdServe(args []string) error {
 	loopLen := fs.Int("len", 3, "loop length")
 	strategyName := fs.String("strategy", arbloop.StrategyMaxMax,
 		"per-loop strategy: "+strings.Join(arbloop.StrategyNames(), ", "))
-	parallel := fs.Int("parallel", 0, "optimization workers (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "delta-engine cycle shards (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "goroutines a full scan optimizes on (0 = GOMAXPROCS); delta scans run inline")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address (empty = off)")
 	mutexProfile := fs.Int("mutex-profile", 0,
 		"mutex contention profiling: sample 1/n of contended lock events (0 = off); read via -pprof's /debug/pprof/mutex")
@@ -121,7 +120,6 @@ func cmdServe(args []string) error {
 		arbloop.WithMaxCycles(*maxCycles),
 		arbloop.WithTopK(*top),
 		arbloop.WithDeltaScans(*delta),
-		arbloop.WithShards(*shards),
 		arbloop.WithStageTimeout(*stageTimeout),
 	)
 	if err != nil {
@@ -239,9 +237,9 @@ func serve(ctx context.Context, cfg serveConfig) error {
 		server.WithStaleAfter(cfg.staleAfter),
 		server.WithHeartbeat(cfg.heartbeat),
 	)
-	// /v1/healthz reports the delta engine's fast-path hit rate, shard
-	// wake-ups, feed refresh/failure counts, and dependency breaker
-	// states alongside liveness and report staleness.
+	// /v1/healthz reports the delta engine's fast-path hit rate, feed
+	// refresh/failure counts, and dependency breaker states alongside
+	// liveness and report staleness.
 	srv.SetDeltaStatsProbe(cfg.scanner.DeltaStats)
 	srv.SetFeedStatsProbe(watcher.Stats)
 	if cfg.breaker != nil {
@@ -345,7 +343,7 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	// Scan loop: one topology-cached scan per consumed update, published
 	// into the atomically swapped store and fanned out over SSE. The
 	// pprof label tags CPU/mutex samples from this goroutine (and the
-	// optimization workers it forks) with loop=scan.
+	// goroutines a full scan fans out to) with loop=scan.
 	go rtpprof.Do(ctx, rtpprof.Labels("loop", "scan"), func(ctx context.Context) {
 		for vr := range cfg.scanner.Watch(ctx, watcher) {
 			if vr.Err != nil {

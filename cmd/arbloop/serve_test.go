@@ -117,8 +117,8 @@ func TestServeSmoke(t *testing.T) {
 	if h.Delta == nil {
 		t.Fatal("healthz has no delta section")
 	}
-	if h.Delta.FullScans == 0 || h.Delta.Shards == 0 {
-		t.Errorf("delta health = %+v, want at least one capture over >0 shards", h.Delta)
+	if h.Delta.FullScans == 0 || h.Delta.Shards != 1 {
+		t.Errorf("delta health = %+v, want at least one capture of the one state", h.Delta)
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for h.Delta.DeltaScans == 0 {

@@ -42,8 +42,10 @@ type Config struct {
 	// the paper's trade-off is MaxMax (fast) vs ConvexStrategy (heavier,
 	// provably ≥ MaxMax).
 	Strategy strategy.Strategy
-	// Parallelism bounds the per-block optimization worker pool
-	// (default GOMAXPROCS, resolved once at New).
+	// Parallelism bounds how many goroutines a full scan — the first
+	// block's, or one after the pool set changed — optimizes loops on
+	// (default GOMAXPROCS, resolved once at New). Later blocks re-optimize
+	// their few dirty loops inline.
 	Parallelism int
 	// MinProfitUSD skips plans predicted below this (default 0.01$ —
 	// dust plans lose to integer rounding).
@@ -132,10 +134,6 @@ type Bot struct {
 	// a fraction of the optimization work. Its topology cache spares the
 	// cycle enumeration when a capture meets a pool set seen before.
 	delta *scan.Delta
-	// pool is the persistent worker pool a Run installs for its blocks,
-	// so per-block parallel phases reuse parked goroutines instead of
-	// respawning them every block (nil outside Run: Step spawns).
-	pool *scan.Workers
 
 	// lifetime counters
 	blocks        int
@@ -203,7 +201,7 @@ func (b *Bot) findPlans(ctx context.Context) ([]plan, error) {
 	if len(pools) == 0 {
 		return nil, ErrNoPools
 	}
-	report, err := b.delta.Scan(ctx, pools, nil, b.oracle, b.pool)
+	report, err := b.delta.Scan(ctx, pools, nil, b.oracle)
 	if err != nil {
 		return nil, fmt.Errorf("bot: scan: %w", err)
 	}
@@ -424,17 +422,8 @@ func (b *Bot) stepReoptimize(ctx context.Context) (BlockReport, error) {
 	return report, nil
 }
 
-// Run executes n blocks and returns their reports. For the duration of
-// the run the bot keeps a persistent scan worker pool, released when Run
-// returns.
+// Run executes n blocks and returns their reports.
 func (b *Bot) Run(ctx context.Context, n int) ([]BlockReport, error) {
-	if b.pool == nil {
-		b.pool = scan.NewWorkers(b.cfg.Parallelism)
-		defer func() {
-			b.pool.Close()
-			b.pool = nil
-		}()
-	}
 	reports := make([]BlockReport, 0, n)
 	for i := 0; i < n; i++ {
 		select {

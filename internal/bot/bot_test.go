@@ -171,8 +171,8 @@ func TestBotContextCancellation(t *testing.T) {
 }
 
 // TestBotDeltaSurvivesGOMAXPROCSChange: the bot binds its delta engine
-// at New, so a GOMAXPROCS change between blocks must neither
-// re-partition the baseline nor force a full re-capture.
+// at New, so a GOMAXPROCS change between blocks must not force a full
+// re-capture.
 func TestBotDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
@@ -186,8 +186,8 @@ func TestBotDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := b.delta.Stats(); s.FullScans != 1 || s.DeltaScans != 2 || s.Shards != procs {
-		t.Errorf("stats = %+v, want 1 full + 2 delta scans over %d shards", s, procs)
+	if s := b.delta.Stats(); s.FullScans != 1 || s.DeltaScans != 2 || s.Shards != 1 {
+		t.Errorf("stats = %+v, want 1 full + 2 delta scans over the one state", s)
 	}
 }
 

@@ -60,8 +60,10 @@ type ReportJSON struct {
 	// previous scan's results.
 	LoopsReoptimized int `json:"loops_reoptimized"`
 	LoopsReused      int `json:"loops_reused"`
-	// ShardsScanned counts the delta-engine shards rescanned for this
-	// report (0 for unsharded full scans).
+	// ShardsScanned is 1 when the delta engine rescanned its captured
+	// state for this report — a capture, or a delta scan that re-oriented
+	// or re-optimized a loop — and 0 otherwise (always 0 for a plain full
+	// scan).
 	ShardsScanned int `json:"shards_scanned"`
 	// Degraded reports that the scan behind this report ran on fallback
 	// (last-known-good) prices: best-effort results, not fresh ones.

@@ -33,7 +33,7 @@ func deltaScanCost(t *testing.T, cfg Config, swaps, scans int) (bytes, allocs fl
 
 	st := NewDelta(cfg)
 	scan := func(pools []*amm.Pool) {
-		rep, err := st.Scan(ctx, pools, nil, src, nil)
+		rep, err := st.Scan(ctx, pools, nil, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func deltaScanCost(t *testing.T, cfg Config, swaps, scans int) (bytes, allocs fl
 				rep.LoopsReoptimized, rep.LoopsReused)
 		}
 	}
-	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil { // capture
+	if _, err := st.Scan(ctx, pools, nil, src); err != nil { // capture
 		t.Fatal(err)
 	}
 	for _, s := range states[:warm] {
@@ -62,7 +62,7 @@ func deltaScanCost(t *testing.T, cfg Config, swaps, scans int) (bytes, allocs fl
 }
 
 // dirtyScanBudgets are the dirty delta scan's budgets on the two
-// perfbench shapes, 2 shards and TopK 20 each.
+// perfbench shapes, TopK 20 each.
 var dirtyScanBudgets = []struct {
 	name   string
 	cfg    Config
@@ -70,20 +70,22 @@ var dirtyScanBudgets = []struct {
 	bytes  float64 // per scan
 	allocs float64 // per scan
 }{
-	{"convex-len4", Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2, TopK: 20}, 10, 20 << 10, 100},
-	{"maxmax-len3", Config{Strategy: strategy.MaxMaxStrategy{}, Shards: 2, TopK: 20}, 4, 23 << 9, 45},
+	{"convex-len4", Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, TopK: 20}, 10, 10 << 10, 40},
+	{"maxmax-len3", Config{Strategy: strategy.MaxMaxStrategy{}, TopK: 20}, 4, 15 << 9, 24},
 }
 
 // TestDeltaDirtyScanByteBudget pins the bytes a dirty delta scan
 // allocates. A re-optimized loop is computed on indices and gets a Loop
-// and a Result only when the report keeps it; a dirty shard's state is
-// copied into the state its previous commit retired, not into a fresh
-// one; ranking copies out only the TopK results it keeps. The scans read
-// ~12 kB and ~10.4 kB (2-CPU Xeon, Go 1.24, GOMAXPROCS 1 to 4, with or
-// without -race). Each budget sits below what the scan reads when any of
-// those comes back: a Loop per re-optimized loop reads ~52 kB and ~12.2 kB, a Loop
-// and a Result per re-optimized loop ~147 kB and ~18 kB, and a fresh
-// copy of every dirty shard's state ~102 kB and ~22 kB.
+// and a Result only when the report keeps it; the committed state,
+// reserves included, is copied into the state the previous commit
+// retired, not into a fresh one; ranking copies out only the TopK
+// results it keeps. The scans read 8.2 kB and 6.5 kB (2-CPU Xeon, Go
+// 1.24, GOMAXPROCS 1 to 4, with or without -race). Each budget sits
+// below what the scan reads when any of those comes back: a fresh
+// reserves slice per commit reads 11.5 kB and 9.9 kB, a Loop per
+// re-optimized loop 48 kB and 8.3 kB, a Loop and a Result per
+// re-optimized loop 140 kB and 13 kB, and a fresh copy of the state
+// 101 kB and 22 kB.
 func TestDeltaDirtyScanByteBudget(t *testing.T) {
 	for _, tc := range dirtyScanBudgets {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,9 +101,9 @@ func TestDeltaDirtyScanByteBudget(t *testing.T) {
 // TestDeltaDirtyScanAllocBudget pins the allocations of the same dirty
 // delta scans: a fixed handful per scan plus the served forms of the
 // kept loops that re-optimized, nothing per re-optimized loop. The scans
-// make 39–46 and 25–31 (GOMAXPROCS 1 to 4). A Loop per re-optimized loop
-// reads ~636 and ~64, and a Loop and a Result per re-optimized loop
-// ~1,226 and ~96.
+// make 33.4 and 18.5 (GOMAXPROCS 1 to 4). A Loop per re-optimized loop
+// reads 623 and 51, and a Loop and a Result per re-optimized loop 1,185
+// and 70.
 func TestDeltaDirtyScanAllocBudget(t *testing.T) {
 	for _, tc := range dirtyScanBudgets {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,15 +170,15 @@ func TestDeltaFailedLoopCostsNoAllocs(t *testing.T) {
 		{"one loop failing", failLoop{inner: strategy.MaxMaxStrategy{}, pools: victim}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := NewDelta(Config{Strategy: tc.s, Parallelism: 1, Shards: 4, Metrics: NewMetrics()})
+			st := NewDelta(Config{Strategy: tc.s, Parallelism: 1, Metrics: NewMetrics()})
 			state := rebuild(t, pools)
-			if _, err := st.Scan(ctx, state, nil, src, nil); err != nil {
+			if _, err := st.Scan(ctx, state, nil, src); err != nil {
 				t.Fatal(err)
 			}
 			var rep Report
 			allocs := testing.AllocsPerRun(20, func() {
 				var err error
-				if rep, err = st.Scan(ctx, state, nil, src, nil); err != nil {
+				if rep, err = st.Scan(ctx, state, nil, src); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -103,6 +103,9 @@ type topology struct {
 	// and validated once, it is how a scan reads a cycle's reserves and
 	// prices.
 	progs [][]strategy.HopIndex
+	// planOff[ci] is where cycle ci's plan starts in a delta state's plan
+	// slab, one input per hop; planOff[len(cycles)] is the slab's length.
+	planOff []int32
 	// skel is the canonical graph the cycles were enumerated on. Its
 	// reserves are a snapshot, but its node index, edge list, and
 	// adjacency depend only on the topology, so warm scans Rebind it to
@@ -127,6 +130,7 @@ func newTopology(g *graph.Graph, cs []cycles.Cycle) (*topology, error) {
 	top := &topology{
 		cycles:      cs,
 		progs:       make([][]strategy.HopIndex, len(cs)),
+		planOff:     make([]int32, len(cs)+1),
 		skel:        g,
 		tokens:      g.Nodes(),
 		poolCycles:  make([][]int, g.NumEdges()),
@@ -155,6 +159,7 @@ func newTopology(g *graph.Graph, cs []cycles.Cycle) (*topology, error) {
 			prog[k+i] = strategy.HopIndex{Pool: h.Pool, Token: prog[(k-i)%k].Token, In0: !h.In0}
 		}
 		top.progs[ci] = prog
+		top.planOff[ci+1] = top.planOff[ci] + int32(k)
 		for _, pi := range c.Pools {
 			top.poolCycles[pi] = append(top.poolCycles[pi], ci)
 		}

@@ -87,10 +87,10 @@ func TestRunDeltaContainsStrategyPanic(t *testing.T) {
 	m := NewMetrics()
 	s := &panickyStrategy{inner: strategy.MaxMaxStrategy{}, every: 4}
 	st := NewDelta(Config{Strategy: s, Metrics: m, Parallelism: 4})
-	if _, err := st.Scan(context.Background(), pools, nil, src, nil); err != nil {
+	if _, err := st.Scan(context.Background(), pools, nil, src); err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	rep, err := st.Scan(context.Background(), rebuild(t, pools), nil, src, nil)
+	rep, err := st.Scan(context.Background(), rebuild(t, pools), nil, src)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}
@@ -156,10 +156,10 @@ func TestDegradedPricesMarkReport(t *testing.T) {
 	}
 
 	st := NewDelta(Config{})
-	if _, err := st.Scan(context.Background(), paperPools(t), nil, prices, nil); err != nil {
+	if _, err := st.Scan(context.Background(), paperPools(t), nil, prices); err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	rep2, err := st.Scan(context.Background(), paperPools(t), nil, prices, nil)
+	rep2, err := st.Scan(context.Background(), paperPools(t), nil, prices)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}

@@ -30,15 +30,16 @@
 // keep calling Optimize, so the delta = full tests cross-check the two
 // paths bit for bit.
 //
-// The engine is sharded (see shard.go): the cycle set is partitioned
-// once per captured topology, each shard owns the captured per-cycle
-// state for its cycles, and a scan touches only the shards whose dirty
-// set is non-empty — re-orienting them in parallel and committing
-// copy-on-write per shard, so clean shards cost nothing, not even a
-// baseline copy. A shard's state is a few slabs of values that a dirty
-// shard copies into the state its previous commit retired (a fresh one
-// when there is none), so an entry that survives many commits never
-// keeps a batch of some earlier scan's allocations alive.
+// The engine keeps one captured state (state.go): each cycle's
+// orientation and outcome, the plans, the served forms and the reserves
+// it was captured at, in a few slabs of values. A scan that changes
+// anything copies the committed state into the state the previous commit
+// retired (a fresh one when there is none) and re-orients and
+// re-optimizes the affected cycles inline, in one strategy.Workspace:
+// with the exact convex solve at about 1 µs per loop a dirty scan is tens
+// of microseconds of math, which a per-block fan-out over goroutines did
+// not speed up (ROADMAP item 4). Full scans — the capture among them —
+// keep their fan-out (Config.Parallelism).
 //
 // The per-block path is also on an allocation diet: the topology check
 // compares pool metadata field-by-field instead of hashing a
@@ -55,10 +56,10 @@
 // provided hint such as feed.Update.ChangedPools; prices are re-fetched
 // every scan and diffed the same way, so a moved CEX price re-optimizes
 // exactly the loops it touches. A Delta is bound at construction to one
-// resolved config, so its strategy, loop bounds, and shard count cannot
-// change under a captured baseline: the previous state is unusable only
-// on the first scan or after a topology change, and then Scan
-// transparently falls back to a full scan and captures fresh state.
+// resolved config, so its strategy and loop bounds cannot change under a
+// captured baseline: the previous state is unusable only on the first
+// scan or after a topology change, and then Scan transparently falls
+// back to a full scan and captures fresh state.
 package scan
 
 import (
@@ -74,17 +75,17 @@ import (
 )
 
 // Delta is the delta engine: one scanner's memory between scans — the
-// topology it scanned, the shard partition, the reserves and prices it
-// scanned at, and the per-shard captured outcomes — bound to the config
-// NewDelta resolved. The first Scan is a full scan that populates it.
-// Safe for concurrent use: the mutex guards only the in-memory baseline
-// snapshot, the scratch-arena checkout, and commit — never the price
-// fetch or the optimization fan-out, so a slow scan (hung PriceSource,
-// heavy strategy) cannot stall other scans on the same engine.
-// Concurrent scans each compute against the baseline they snapshotted —
-// any committed baseline is a self-consistent (reserves, prices, shards)
-// capture, so last-writer-wins is correct and the next diff simply runs
-// against whichever baseline landed.
+// topology it scanned, the prices it scanned at, and the captured state
+// (per-cycle outcomes and the reserves they were computed from) — bound
+// to the config NewDelta resolved. The first Scan is a full scan that
+// populates it. Safe for concurrent use: the mutex guards only the
+// in-memory baseline snapshot, the scratch-arena checkout, and commit —
+// never the price fetch or the optimization, so a slow scan (hung
+// PriceSource, heavy strategy) cannot stall other scans on the same
+// engine. Concurrent scans each compute against the baseline they
+// snapshotted — any committed baseline is a self-consistent (reserves,
+// prices, outcomes) capture, so last-writer-wins is correct and the next
+// diff simply runs against whichever baseline landed.
 type Delta struct {
 	// cfg is resolved once by NewDelta and never changes, which is what
 	// lets a baseline outlive the scan that captured it.
@@ -102,14 +103,13 @@ type Delta struct {
 	// inflight counts the scans between begin and end.
 	inflight int
 	// lifetime counters (under mu).
-	fullScans, deltaScans, shardScans uint64
+	fullScans, deltaScans, stateScans uint64
 }
 
 // NewDelta builds a delta engine bound to cfg, resolving its defaults
-// once: Shards and Parallelism take the GOMAXPROCS of this call, and a
-// later GOMAXPROCS change neither re-partitions the baseline nor forces
-// a full scan. cfg.Workers is ignored — the worker pool is the one input
-// block-driven callers vary, so Scan takes it per call.
+// once: Parallelism, which bounds the capture's fan-out, takes the
+// GOMAXPROCS of this call, and a later GOMAXPROCS change neither resizes
+// it nor forces a full scan.
 func NewDelta(cfg Config) *Delta {
 	d := &Delta{cfg: cfg.Resolve()}
 	d.kernel, _ = d.cfg.Strategy.(strategy.Kernel)
@@ -124,22 +124,18 @@ type poolMeta struct {
 	fee                float64
 }
 
-// baseline is one captured scan, immutable once committed: every field
-// is replaced wholesale by commit, never mutated in place, so readers
-// holding a snapshot need no lock. Shard baselines are shared across
-// consecutive commits when clean (copy-on-write).
+// baseline is one captured scan, immutable once committed except for its
+// state's served-form cache: every field is replaced wholesale by
+// commit, never mutated in place, so readers holding a snapshot need no
+// lock.
 type baseline struct {
-	top  *topology
-	plan *shardPlan
+	top *topology
 	// meta is the canonical pool set's topology identity at capture.
 	meta []poolMeta
-	// reserves[i] holds {Reserve0, Reserve1} of canonical pool i at the
-	// captured scan — what the dirty-pool diff runs against.
-	reserves [][2]float64
 	// prices is the price map the captured results were monetized with.
 	prices strategy.PriceMap
-	// shards holds each shard's captured per-cycle outcomes.
-	shards []*shardBase
+	// state holds the captured per-cycle outcomes and reserves.
+	state *deltaState
 }
 
 // begin snapshots the current baseline without judging usability — the
@@ -158,16 +154,12 @@ func (d *Delta) begin() (b baseline, ok bool, scr *scratch) {
 	return b, ok, scr
 }
 
-// end returns the scan's arena. Copy-on-write shard states still in
-// newShard were never committed, so no other scan saw them: they become
-// spares.
+// end returns the scan's arena. A copy-on-write state still in next was
+// never committed, so no other scan saw it: it becomes the spare.
 func (d *Delta) end(scr *scratch) {
-	for s, sb := range scr.newShard {
-		if sb != nil {
-			scr.spares[s] = sb
-		}
+	if scr.next != nil {
+		scr.spare, scr.next = scr.next, nil
 	}
-	clear(scr.newShard)
 	d.mu.Lock()
 	d.scr = scr
 	d.inflight--
@@ -177,7 +169,7 @@ func (d *Delta) end(scr *scratch) {
 // deltaEntry is one cycle's captured state: its orientation and, when
 // that is profitable, its loop's outcome — the profit the loop ranks by
 // or the error it failed with, and, for a built-in strategy, its plan's
-// start token (its plan and served form live beside it, in shardBase).
+// start token (its plan and served form live beside it, in deltaState).
 type deltaEntry struct {
 	profit float64
 	err    error
@@ -186,17 +178,17 @@ type deltaEntry struct {
 }
 
 // DeltaStats counts how a Delta resolved its scans: on the fast path or
-// through the full-scan fallback, and how much shard work the fast path
-// did.
+// through the full-scan fallback, and how many of them rescanned the
+// captured state.
 type DeltaStats struct {
 	FullScans, DeltaScans uint64
-	// ShardsScanned is the cumulative number of shards rescanned by
-	// committed scans. Captures contribute every shard, delta scans only
-	// the dirty ones, so a low ShardsScanned relative to Shards×(FullScans
-	// +DeltaScans) means the sharded fast path is doing its job.
+	// ShardsScanned counts the committed scans that rescanned the
+	// captured state (Report.ShardsScanned 1): every capture, and every
+	// delta scan that re-oriented or re-optimized a loop. A delta scan
+	// that found nothing to redo adds 0.
 	ShardsScanned uint64
-	// Shards is the shard count of the current baseline (0 before the
-	// first capture).
+	// Shards is 1 once a state is captured (0 before the first capture):
+	// the engine keeps one state, and the field keeps its wire name.
 	Shards int
 }
 
@@ -215,9 +207,9 @@ func (d *Delta) bump(full bool) {
 func (d *Delta) Stats() DeltaStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := DeltaStats{FullScans: d.fullScans, DeltaScans: d.deltaScans, ShardsScanned: d.shardScans}
-	if d.valid && d.base.plan != nil {
-		s.Shards = d.base.plan.n
+	s := DeltaStats{FullScans: d.fullScans, DeltaScans: d.deltaScans, ShardsScanned: d.stateScans}
+	if d.valid {
+		s.Shards = 1
 	}
 	return s
 }
@@ -225,8 +217,8 @@ func (d *Delta) Stats() DeltaStats {
 // usable reports whether the captured baseline can serve a delta scan of
 // the given canonical pools: an identical pool topology, metadata
 // compared field-by-field (the allocation-free equivalent of a
-// fingerprint match). Strategy, bounds, and shard count need no check —
-// the engine's config cannot change under its baseline.
+// fingerprint match). Strategy and bounds need no check — the engine's
+// config cannot change under its baseline.
 func (b *baseline) usable(pools []*amm.Pool) bool {
 	if len(pools) != len(b.meta) {
 		return false
@@ -243,19 +235,19 @@ func (b *baseline) usable(pools []*amm.Pool) bool {
 // scratch is the reusable per-scan arena: every slice the delta fast
 // path needs, sized once and recycled block after block so the
 // steady-state scan performs no per-item allocation. Nothing in here
-// but the spare shard states outlives the scan that holds it — state
-// that must survive (entries, plans) is written into the copy-on-write
-// shard states instead.
+// but the spare state outlives the scan that holds it — state that must
+// survive (entries, plans, reserves) is written into the copy-on-write
+// state instead.
 type scratch struct {
 	dirtyPool  []bool // per canonical pool
 	dirtyCycle []bool // per cycle
-	// shardCycles[s] lists the reserve-dirty cycles of shard s this
-	// scan; dirtyShards lists the shards with any.
-	shardCycles [][]int
-	dirtyShards []int
-	// newShard[s] is shard s's copy-on-write baseline this scan (nil =
-	// clean, shares the previous baseline).
-	newShard  []*shardBase
+	// next is this scan's copy-on-write state, nil until the scan first
+	// writes (until then it reads the baseline's).
+	next *deltaState
+	// spare is a state no baseline references any more, reused as the
+	// next copy-on-write target so a scan that writes does not allocate
+	// its state afresh.
+	spare     *deltaState
 	loopIdx   []int32 // per cycle: loop index this scan, or -1
 	loopCycle []int   // per loop: owning cycle
 	reopt     []bool  // per loop: must re-optimize
@@ -263,12 +255,9 @@ type scratch struct {
 	symbols   []string
 	// prices is this scan's price map laid out by token index.
 	prices strategy.NodePrices
-	// ws[w] is worker w's kernel workspace.
-	ws []strategy.Workspace
-	// spares[s] is a state of shard s that no baseline references any
-	// more, reused as its next copy-on-write target so a dirty scan does
-	// not allocate its shards' state afresh.
-	spares []*shardBase
+	// ws is the kernel workspace every solve and served form of the scan
+	// is computed in.
+	ws strategy.Workspace
 	// keys is the ranking buffer.
 	keys []rankKey
 	// det is the report-assembly view of the scan, rebuilt in place each
@@ -287,28 +276,36 @@ func growSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// reset prepares the arena for one scan over nPools pools, nCycles
-// cycles, and nShards shards.
-func (s *scratch) reset(nPools, nCycles, nShards int) {
+// reset prepares the arena for one scan over nPools pools and nCycles
+// cycles.
+func (s *scratch) reset(nPools, nCycles int) {
 	s.dirtyPool = growSlice(s.dirtyPool, nPools)
 	clear(s.dirtyPool)
 	s.dirtyCycle = growSlice(s.dirtyCycle, nCycles)
 	clear(s.dirtyCycle)
-	s.shardCycles = growSlice(s.shardCycles, nShards)
-	for i := range s.shardCycles {
-		s.shardCycles[i] = s.shardCycles[i][:0]
-	}
-	s.dirtyShards = s.dirtyShards[:0]
-	s.newShard = growSlice(s.newShard, nShards)
-	clear(s.newShard)
-	if len(s.spares) != nShards {
-		s.spares = make([]*shardBase, nShards)
-	}
 	s.loopIdx = growSlice(s.loopIdx, nCycles)
 	s.loopCycle = s.loopCycle[:0]
 	s.reopt = s.reopt[:0]
 	s.jobs = s.jobs[:0]
 	s.symbols = s.symbols[:0]
+}
+
+// write returns the state this scan writes: on its first write, a copy
+// of the baseline's, made into the spare when there is one.
+func (s *scratch) write(base *baseline) *deltaState {
+	if s.next == nil {
+		s.next, s.spare = copyState(s.spare, base.state), nil
+	}
+	return s.next
+}
+
+// read returns the state this scan reads: its copy-on-write state once
+// it has written, the baseline's before.
+func (s *scratch) read(base *baseline) *deltaState {
+	if s.next != nil {
+		return s.next
+	}
+	return base.state
 }
 
 // Scan scans the pool set, re-optimizing only the loops affected by
@@ -317,8 +314,7 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 // ordering, counters — to a full Run over the same pools and prices
 // under the engine's config, except that TopologyCacheHit reflects the
 // delta path and LoopsReoptimized/LoopsReused/ShardsScanned expose the
-// work split. workers, when non-nil, runs the parallel phases on a
-// persistent goroutine pool.
+// work split.
 //
 // hint optionally names pools the caller already knows changed (e.g.
 // feed.Update.ChangedPools); it widens the self-computed dirty set and is
@@ -335,7 +331,7 @@ func (s *scratch) reset(nPools, nCycles, nShards int) {
 // itself the same way.
 //
 //arblint:hotpath
-func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, prices source.PriceSource, workers *Workers) (Report, error) {
+func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, prices source.PriceSource) (Report, error) {
 	pools = Canonicalize(pools)
 	if len(pools) == 0 {
 		return Report{}, errNoPools
@@ -345,8 +341,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	defer d.end(scr)
 	if !ok || !base.usable(pools) {
 		d.bump(true)
-		clear(scr.spares) // sized for the topology being replaced
-		return d.capture(ctx, pools, prices, workers)
+		scr.spare = nil // sized for the topology being replaced
+		return d.capture(ctx, pools, prices)
 	}
 	d.bump(false)
 	m := d.cfg.Metrics
@@ -361,19 +357,20 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		t = start
 	}
 
-	top, plan := base.top, base.plan
+	top := base.top
 	g, err := top.skel.Rebind(pools)
 	if err != nil {
 		return Report{}, err
 	}
 
-	scr.reset(len(pools), len(top.cycles), plan.n)
+	scr.reset(len(pools), len(top.cycles))
 
 	// Dirty pools: the reserve diff against the captured baseline is
 	// authoritative; the hint can only widen it.
 	dirtyPools := 0
+	captured := base.state.reserves
 	for i, p := range pools {
-		if p.Reserve0 != base.reserves[i][0] || p.Reserve1 != base.reserves[i][1] {
+		if p.Reserve0 != captured[i][0] || p.Reserve1 != captured[i][1] {
 			scr.dirtyPool[i] = true
 			dirtyPools++
 		}
@@ -389,9 +386,11 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		m.observeDirtiness(scr.dirtyPool, dirtyPools, start)
 	}
 
-	// Dirty cycles via the inverted index, grouped by owning shard: any
-	// cycle routing through a dirty pool must re-orient (its price
-	// product moved), and only shards with dirty cycles wake up.
+	// Re-orient every cycle routing through a dirty pool (its price
+	// product moved), found through the inverted index, against the fresh
+	// reserves through its hop program. The first one copies the
+	// baseline's state (copy-on-write). No loop is built: a loop is a
+	// Loop only once it is served.
 	for pi, dirty := range scr.dirtyPool {
 		if !dirty {
 			continue
@@ -401,53 +400,22 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 				continue
 			}
 			scr.dirtyCycle[ci] = true
-			s := int(plan.shardOf[ci])
-			if len(scr.shardCycles[s]) == 0 {
-				scr.dirtyShards = append(scr.dirtyShards, s)
+			st := scr.write(&base)
+			o := top.orient(pools, ci)
+			if st.entries[ci] = (deltaEntry{orient: o}); o == orientNone {
+				st.served[ci].Store(nil) // drop the stale capture
 			}
-			scr.shardCycles[s] = append(scr.shardCycles[s], ci)
 		}
-	}
-
-	// Phase A — shard re-orientation, dirty shards in parallel: each
-	// dirty shard copies its baseline (copy-on-write, into its spare
-	// state when it has one) and re-orients its dirty cycles against the
-	// fresh reserves through their hop programs. No loop is built: a
-	// loop is a Loop only once it is served.
-	if n := len(scr.dirtyShards); n > 0 {
-		for _, s := range scr.dirtyShards {
-			scr.newShard[s] = scr.takeSpare(s)
-		}
-		//arblint:ignore hotpath dirty-shard fan-out only: clean steady-state scans never reach this branch, and the capture is one closure per dirty scan
-		forEachIndex(ctx, workers, d.cfg.Parallelism, n, func(k int) bool {
-			s := scr.dirtyShards[k]
-			sb := copyShardBase(scr.newShard[s], base.shards[s])
-			scr.newShard[s] = sb
-			for _, ci := range scr.shardCycles[s] {
-				lo := plan.localOf[ci]
-				o := top.orient(pools, ci)
-				if sb.entries[lo] = (deltaEntry{orient: o}); o == orientNone {
-					sb.served[lo].Store(nil) // drop the stale capture
-				}
-			}
-			return true
-		})
 	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	if m != nil {
-		for _, s := range scr.dirtyShards {
-			m.shardWake(s)
-		}
-	}
 
-	// Stitch: number the detected loops in global cycle order — exactly
-	// the order a full scan detects in — reading each cycle's
-	// orientation from its shard (the fresh clone when dirty, the shared
-	// baseline when clean).
+	// Number the detected loops in cycle order — exactly the order a full
+	// scan detects in.
+	st := scr.read(&base)
 	for ci := range top.cycles {
-		if scr.state(&base, plan, ci).orient == orientNone {
+		if st.entries[ci].orient == orientNone {
 			scr.loopIdx[ci] = -1
 			continue
 		}
@@ -465,9 +433,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 
 	// Prices are re-fetched every scan (one batched call, the same set a
 	// full scan would fetch). A moved price re-optimizes every loop
-	// touching the token — cached Monetized values are stale for it —
-	// and wakes the loop's shard for the copy-on-write commit. A price
-	// that vanished moved, whatever it was before.
+	// touching the token — cached Monetized values are stale for it. A
+	// price that vanished moved, whatever it was before.
 	scr.symbols = top.priceSymbols(scr.symbols, scr.loopIdx)
 	pm, degraded, err := fetchPriceSymbols(ctx, prices, scr.symbols, d.cfg.StageTimeout)
 	if err != nil {
@@ -481,16 +448,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		}
 		priceMoved = true
 		for _, ci := range top.tokenCycles[tok] {
-			li := scr.loopIdx[ci]
-			if li < 0 || scr.reopt[li] {
-				continue
-			}
-			scr.reopt[li] = true
-			if s := plan.shardOf[ci]; scr.newShard[s] == nil {
-				scr.newShard[s] = copyShardBase(scr.takeSpare(int(s)), base.shards[s])
-				if m != nil {
-					m.shardWake(int(s))
-				}
+			if li := scr.loopIdx[ci]; li >= 0 {
+				scr.reopt[li] = true
 			}
 		}
 	}
@@ -501,26 +460,15 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		t = now
 	}
 
-	// Phase B — re-optimize the affected loops into their copy-on-write
-	// entries (parallel when more than one worker); every clean loop
-	// keeps its shard's capture.
+	// Re-optimize the affected loops into the copy-on-write state; every
+	// other loop keeps its captured outcome.
 	for li, reopt := range scr.reopt {
 		if reopt {
 			scr.jobs = append(scr.jobs, li)
 		}
 	}
-	par := min(d.cfg.Parallelism, len(scr.jobs))
-	scr.ws = growSlice(scr.ws, max(par, 1))
-	if par <= 1 {
-		d.reoptimize(ctx, scr, &scr.ws[0], top, plan, pools, pm, scr.jobs)
-	} else {
-		// One contiguous share of the jobs, and one workspace, per worker.
-		//arblint:ignore hotpath parallel fan-out only: a single-worker scan re-optimizes inline, and the capture is one closure per scan
-		forEachIndex(ctx, workers, par, par, func(w int) bool {
-			n := len(scr.jobs)
-			d.reoptimize(ctx, scr, &scr.ws[w], top, plan, pools, pm, scr.jobs[w*n/par:(w+1)*n/par])
-			return true
-		})
+	if len(scr.jobs) > 0 {
+		d.reoptimize(ctx, scr, scr.write(&base), top, pools, pm)
 	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
@@ -534,20 +482,21 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 			t = now
 		}
 	}
-	shardsScanned := 0
-	for _, sb := range scr.newShard {
-		if sb != nil {
-			shardsScanned++
-		}
+	// The state was rescanned exactly when a loop re-oriented or
+	// re-optimized, which is when the scan first wrote it.
+	scanned := 0
+	if scr.next != nil {
+		scanned = 1
 	}
 
 	// Rank every detected loop by its entry, then serve the kept ones:
 	// only they get a Loop and a Result, built once and cached on the
 	// entry until its loop re-optimizes.
+	st = scr.read(&base)
 	failed, firstFailed := 0, -1
 	ranked := scr.keys[:0]
 	for li, ci := range scr.loopCycle {
-		e := scr.state(&base, plan, ci)
+		e := &st.entries[ci]
 		if e.err != nil {
 			failed++
 			if firstFailed < 0 {
@@ -563,7 +512,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	scr.keys = ranked
 	if failed > 0 && failed == loops {
 		ci := scr.loopCycle[firstFailed]
-		first := scr.state(&base, plan, ci)
+		first := &st.entries[ci]
 		//arblint:ignore hotpath systemic-failure branch only: the scan fails, and the first failed loop is built to name it
 		return Report{}, systemicError(strategy.LoopFromHops(pools, top.hops(ci, first.orient), top.tokens), first.err)
 	}
@@ -572,46 +521,29 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	rep, ranked := scr.det.report(d.cfg, ranked, loops, failed, len(scr.jobs), loops-len(scr.jobs))
 	for j, k := range ranked {
 		ci := scr.loopCycle[k.index]
-		sf, err := d.served(scr, &base, plan, top, pools, ci)
+		sf, err := d.served(scr, st, top, pools, ci)
 		if err != nil {
 			return Report{}, err
 		}
 		rep.Results[j] = Result{Index: k.index, Loop: sf.Loop, Result: sf.Result}
 	}
-	rep.ShardsScanned = shardsScanned
+	rep.ShardsScanned = scanned
 
 	// Commit the new baseline only after a fully successful scan, so a
 	// failed pass leaves the previous (still self-consistent) state for
 	// the next diff. A no-op scan (nothing dirty, no price moved)
 	// commits nothing — the baseline is already exact.
-	if dirtyPools > 0 || priceMoved || shardsScanned > 0 {
-		shards := base.shards
-		if shardsScanned > 0 {
-			shards = make([]*shardBase, plan.n)
-			for s := range shards {
-				if scr.newShard[s] != nil {
-					shards[s] = scr.newShard[s]
-				} else {
-					shards[s] = base.shards[s]
-				}
-			}
-		}
-		reserves := make([][2]float64, len(pools))
+	if dirtyPools > 0 || priceMoved {
+		st = scr.write(&base)
 		for i, p := range pools {
-			reserves[i] = [2]float64{p.Reserve0, p.Reserve1}
+			st.reserves[i] = [2]float64{p.Reserve0, p.Reserve1}
 		}
 		next := base
-		next.reserves = reserves
-		next.prices = pm
-		next.shards = shards
-		if d.commitBase(next, shardsScanned) {
-			for s, sb := range scr.newShard {
-				if sb != nil {
-					scr.spares[s] = base.shards[s]
-				}
-			}
+		next.prices, next.state = pm, st
+		if d.commitBase(next, scanned) {
+			scr.spare = base.state
 		}
-		clear(scr.newShard) // the baseline's now
+		scr.next = nil // the baseline's now
 	}
 	if timed {
 		now := time.Now()
@@ -621,47 +553,25 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	return rep, nil
 }
 
-// takeSpare returns shard s's spare state, or nil when it has none.
-func (scr *scratch) takeSpare(s int) *shardBase {
-	sb := scr.spares[s]
-	scr.spares[s] = nil
-	return sb
-}
-
-// shard returns shard s's state this scan: its copy-on-write clone when
-// the scan woke it, the baseline's otherwise.
-func (scr *scratch) shard(base *baseline, s int32) *shardBase {
-	if sb := scr.newShard[s]; sb != nil {
-		return sb
-	}
-	return base.shards[s]
-}
-
-// state returns cycle ci's entry this scan.
-func (scr *scratch) state(base *baseline, plan *shardPlan, ci int) *deltaEntry {
-	return &scr.shard(base, plan.shardOf[ci]).entries[plan.localOf[ci]]
-}
-
 // reoptimize runs the strategy on each job loop and writes the outcome
-// into its cycle's copy-on-write entry: a built-in strategy through its
-// kernel in ws, which stores the plan and builds nothing, any other
-// through Optimize on a freshly built Loop, whose Result is the served
-// form. Panics are contained as optimizeOne contains them.
+// into its cycle's entry in st: a built-in strategy through its kernel,
+// which stores the plan and builds nothing, any other through Optimize
+// on a freshly built Loop, whose Result is the served form. Panics are
+// contained as optimizeOne contains them.
 //
 //arblint:hotpath
-func (d *Delta) reoptimize(ctx context.Context, scr *scratch, ws *strategy.Workspace, top *topology, plan *shardPlan, pools []*amm.Pool, pm strategy.PriceMap, jobs []int) {
-	for _, li := range jobs {
+func (d *Delta) reoptimize(ctx context.Context, scr *scratch, st *deltaState, top *topology, pools []*amm.Pool, pm strategy.PriceMap) {
+	for _, li := range scr.jobs {
 		if ctx.Err() != nil {
 			return
 		}
 		ci := scr.loopCycle[li]
-		sb, lo := scr.newShard[plan.shardOf[ci]], plan.localOf[ci]
-		e := &sb.entries[lo]
+		e := &st.entries[ci]
 		hops := top.hops(ci, e.orient)
 		var sf *strategy.Served
 		if d.kernel != nil {
 			var start int
-			start, e.profit, e.err = solveOne(d.kernel, ws, pools, hops, &scr.prices, plan.planOf(sb, ci, len(hops)), d.cfg.Metrics)
+			start, e.profit, e.err = solveOne(d.kernel, &scr.ws, pools, hops, &scr.prices, st.plan(top, ci), d.cfg.Metrics)
 			e.start = int32(start)
 		} else {
 			loop := strategy.LoopFromHops(pools, hops, top.tokens)
@@ -672,7 +582,7 @@ func (d *Delta) reoptimize(ctx context.Context, scr *scratch, ws *strategy.Works
 				sf = &strategy.Served{Loop: loop, Result: res}
 			}
 		}
-		sb.served[lo].Store(sf)
+		st.served[ci].Store(sf)
 	}
 }
 
@@ -690,28 +600,27 @@ func solveOne(k strategy.Kernel, ws *strategy.Workspace, pools []*amm.Pool, hops
 	return strategy.SolveHops(k, ws, pools, hops, np, plan)
 }
 
-// served returns cycle ci's served form, building it from the entry's
-// plan (strategy.Materialize) and caching it on the entry when the loop
-// has none yet. Only a built-in strategy's entries lack one.
-func (d *Delta) served(scr *scratch, base *baseline, plan *shardPlan, top *topology, pools []*amm.Pool, ci int) (*strategy.Served, error) {
-	sb, lo := scr.shard(base, plan.shardOf[ci]), plan.localOf[ci]
-	if sf := sb.served[lo].Load(); sf != nil {
+// served returns cycle ci's served form in st, building it from the
+// entry's plan (strategy.Materialize) and caching it on the entry when
+// the loop has none yet. Only a built-in strategy's entries lack one.
+func (d *Delta) served(scr *scratch, st *deltaState, top *topology, pools []*amm.Pool, ci int) (*strategy.Served, error) {
+	if sf := st.served[ci].Load(); sf != nil {
 		return sf, nil
 	}
-	e := &sb.entries[lo]
-	hops := top.hops(ci, e.orient)
-	sf, err := strategy.Materialize(&scr.ws[0], d.kernel.Name(), pools, hops, &scr.prices, plan.planOf(sb, ci, len(hops)), int(e.start))
+	e := &st.entries[ci]
+	sf, err := strategy.Materialize(&scr.ws, d.kernel.Name(), pools, top.hops(ci, e.orient), &scr.prices, st.plan(top, ci), int(e.start))
 	if err != nil {
 		return nil, err
 	}
-	sb.served[lo].Store(sf)
+	st.served[ci].Store(sf)
 	return sf, nil
 }
 
 // capture is the full-scan fallback: one complete detection +
-// optimization pass that also captures per-shard state for the next
-// delta scan. pools must be canonical.
-func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, workers *Workers) (Report, error) {
+// optimization pass, fanned out over Config.Parallelism, that also
+// captures the state the next delta scan starts from. pools must be
+// canonical.
+func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.PriceSource) (Report, error) {
 	m := d.cfg.Metrics
 	var start, t time.Time
 	if m != nil {
@@ -725,7 +634,7 @@ func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.Pr
 	if m != nil {
 		t = time.Now()
 	}
-	all := collectAll(ctx, det, d.cfg, workers)
+	all := collectAll(ctx, det, d.cfg)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -741,7 +650,6 @@ func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.Pr
 		return Report{}, err
 	}
 
-	plan := buildShardPlan(det.top, d.cfg.Shards)
 	loopCycle := make([]int, len(det.loops))
 	for ci, li := range det.loopOf {
 		if li >= 0 {
@@ -752,21 +660,15 @@ func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.Pr
 	for i, p := range pools {
 		meta[i] = poolMeta{id: p.ID, token0: p.Token0, token1: p.Token1, fee: p.Fee}
 	}
-	reserves := make([][2]float64, len(pools))
-	for i, p := range pools {
-		reserves[i] = [2]float64{p.Reserve0, p.Reserve1}
-	}
 	d.commitBase(baseline{
-		top:      det.top,
-		plan:     plan,
-		meta:     meta,
-		reserves: reserves,
-		prices:   det.prices,
-		shards:   splitCapture(plan, det.orient, loopCycle, all, d.kernel != nil),
-	}, plan.n)
-	rep.ShardsScanned = plan.n
+		top:    det.top,
+		meta:   meta,
+		prices: det.prices,
+		state:  captureState(det.top, pools, det.orient, loopCycle, all, d.kernel != nil),
+	}, 1)
+	rep.ShardsScanned = 1
 	if m != nil {
-		m.capture(pools, plan.n)
+		m.capture(pools)
 		now := time.Now()
 		m.StageCommit.Observe(now.Sub(t))
 		m.ScanTotal.Observe(now.Sub(start))
@@ -775,18 +677,17 @@ func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.Pr
 }
 
 // commitBase replaces the captured baseline with a freshly built one
-// (dirty shard baselines are fresh copies, clean ones shared — either
-// way nothing a concurrent snapshot holds is mutated). Takes the lock
-// itself. It reports whether the committing scan is the only one in
-// flight: then no scan holds a snapshot with the shard states the
-// commit replaced, and none ever will, so they may be reused as spares.
-// With another scan in flight they may not: it may still read them, or
-// commit them back into the baseline.
-func (d *Delta) commitBase(b baseline, shardsScanned int) (alone bool) {
+// (its state a fresh copy — nothing a concurrent snapshot holds is
+// mutated). Takes the lock itself. It reports whether the committing
+// scan is the only one in flight: then no scan holds a snapshot with the
+// state the commit replaced, and none ever will, so it may be reused as
+// the spare. With another scan in flight it may not: that scan may still
+// be reading it.
+func (d *Delta) commitBase(b baseline, scanned int) (alone bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.valid = true
 	d.base = b
-	d.shardScans += uint64(shardsScanned)
+	d.stateScans += uint64(scanned)
 	return d.inflight == 1
 }

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkScanDeltaConvexLen4 times one dirty delta scan on
 // TestDeltaDirtyScanByteBudget's Convex fixture: the §VI market at loop
-// length 4, 2 shards, parallelism 1, 10 pools trading per scan. The
+// length 4, parallelism 1, 10 pools trading per scan. The
 // states are built before the timer starts and walked forward and back
 // along one random path, so every scan sees exactly one step's 10 moved
 // pools. top20 serves what serve serves; top0 serves every ranked loop,
@@ -32,8 +32,8 @@ func BenchmarkScanDeltaConvexLen4(b *testing.B) {
 				path[i] = state
 			}
 			st := NewDelta(Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4,
-				Shards: 2, Parallelism: 1, TopK: topK})
-			if _, err := st.Scan(ctx, path[0], nil, src, nil); err != nil {
+				Parallelism: 1, TopK: topK})
+			if _, err := st.Scan(ctx, path[0], nil, src); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -44,7 +44,7 @@ func BenchmarkScanDeltaConvexLen4(b *testing.B) {
 					step = -step
 				}
 				k += step
-				rep, err := st.Scan(ctx, path[k], nil, src, nil)
+				rep, err := st.Scan(ctx, path[k], nil, src)
 				if err != nil {
 					b.Fatal(err)
 				}

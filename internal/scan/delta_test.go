@@ -116,7 +116,7 @@ func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
 	ctx := context.Background()
 	st := NewDelta(Config{})
 
-	delta, err := st.Scan(ctx, pools, nil, src, nil)
+	delta, err := st.Scan(ctx, pools, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,11 @@ func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
 }
 
 // TestRunDeltaEquivalenceRandomDirty is the core property test: for
-// every registered strategy, at one shard and at several, at loop length
-// 3 and at lengths 3–4, over rounds of random ≤10% dirty subsets, the
-// delta report must be identical to a fresh full scan of the same state,
-// plans included, while re-optimizing only the affected loops.
+// every registered strategy, at loop length 3 and at lengths 3–4, with
+// and without MinProfitUSD and TopK, over rounds of random ≤10% dirty
+// subsets, the delta report must be identical to a fresh full scan of
+// the same state, plans included, while re-optimizing only the affected
+// loops.
 func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
@@ -147,14 +148,14 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 	for _, name := range strategy.Names() {
 		strat, _ := strategy.Lookup(name)
 		for _, cfg := range []Config{
-			{Strategy: strat, Shards: 1},
-			{Strategy: strat, Shards: 3, MinProfitUSD: 1, TopK: 10},
-			{Strategy: strat, Shards: 1, MinLen: 3, MaxLen: 4, MinProfitUSD: 1, TopK: 10},
-			{Strategy: strat, Shards: 3, MinLen: 3, MaxLen: 4},
+			{Strategy: strat},
+			{Strategy: strat, MinProfitUSD: 1, TopK: 10},
+			{Strategy: strat, MinLen: 3, MaxLen: 4, MinProfitUSD: 1, TopK: 10},
+			{Strategy: strat, MinLen: 3, MaxLen: 4},
 		} {
 			rng := rand.New(rand.NewSource(7))
 			st := NewDelta(cfg)
-			if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
+			if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 				t.Fatal(err)
 			}
 			state := pools
@@ -163,7 +164,7 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 				dirtyN := 1 + rng.Intn(len(state)/10)
 				state = perturb(t, rng, state, dirtyN)
 
-				delta, err := st.Scan(ctx, state, nil, src, nil)
+				delta, err := st.Scan(ctx, state, nil, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,13 +200,13 @@ func TestRunDeltaSmallDirtySetReoptimizesFew(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	st := NewDelta(Config{})
-	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
+	if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 		t.Fatal(err)
 	}
 
 	dirtyN := len(pools) / 10
 	state := perturb(t, rng, pools, dirtyN)
-	delta, err := st.Scan(ctx, state, nil, src, nil)
+	delta, err := st.Scan(ctx, state, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestRunDeltaPriceMoveReoptimizesTouchedLoops(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	ctx := context.Background()
 	st := NewDelta(Config{})
-	if _, err := st.Scan(ctx, pools, nil, cex.NewStatic(prices), nil); err != nil {
+	if _, err := st.Scan(ctx, pools, nil, cex.NewStatic(prices)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +260,7 @@ func TestRunDeltaPriceMoveReoptimizesTouchedLoops(t *testing.T) {
 		moved[k] = v
 	}
 	moved["WETH"] *= 1.05
-	delta, err := st.Scan(ctx, rebuild(t, pools), nil, cex.NewStatic(moved), nil)
+	delta, err := st.Scan(ctx, rebuild(t, pools), nil, cex.NewStatic(moved))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +282,12 @@ func TestRunDeltaTopologyChangeFallsBack(t *testing.T) {
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	st := NewDelta(Config{})
-	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
+	if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 		t.Fatal(err)
 	}
 
 	grown := append(rebuild(t, pools), amm.MustNewPool("zz-new", "WETH", "USDC", 500, 900_000, amm.DefaultFee))
-	delta, err := st.Scan(ctx, grown, nil, src, nil)
+	delta, err := st.Scan(ctx, grown, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestRunDeltaTopologyChangeFallsBack(t *testing.T) {
 	// And the next reserve-only update delta-scans against the new topology.
 	rng := rand.New(rand.NewSource(11))
 	next := perturb(t, rng, grown, 3)
-	delta2, err := st.Scan(ctx, next, nil, src, nil)
+	delta2, err := st.Scan(ctx, next, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestRunDeltaPermutedPoolsNoDirty(t *testing.T) {
 	cache := NewCache(0)
 	cfg := Config{Cache: cache}
 	st := NewDelta(cfg)
-	first, err := st.Scan(ctx, pools, nil, src, nil)
+	first, err := st.Scan(ctx, pools, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestRunDeltaPermutedPoolsNoDirty(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	second, err := st.Scan(ctx, shuffled, nil, src, nil)
+	second, err := st.Scan(ctx, shuffled, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,14 +380,14 @@ func TestRunDeltaHintOnlyWidens(t *testing.T) {
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	st := NewDelta(Config{})
-	if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
+	if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 		t.Fatal(err)
 	}
 
 	// A hint naming a clean pool forces its loops to re-optimize (widening
 	// is allowed) but cannot change the report.
 	hint := []string{pools[0].ID, "no-such-pool"}
-	delta, err := st.Scan(ctx, rebuild(t, pools), hint, src, nil)
+	delta, err := st.Scan(ctx, rebuild(t, pools), hint, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,27 +399,32 @@ func TestRunDeltaHintOnlyWidens(t *testing.T) {
 }
 
 // TestDeltaConcurrentScansMatchFull: scanners sharing one Delta snapshot,
-// diff against and commit over each other's baselines, and those
-// baselines share captured entries by pointer. A scan that wrote through
-// a shared entry or entry slice would corrupt a baseline another scan is
-// reading. Every report must still equal a full scan of its own state.
+// diff against and commit over each other's baselines, and a committing
+// scan alone in flight recycles the state it retired. A scan that wrote
+// through a committed state, or recycled one another scan still reads,
+// would corrupt a baseline that scan is reading. Every report must still
+// equal a full scan of its own state.
 func TestDeltaConcurrentScansMatchFull(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	const scanners, states = 4, 40
 
-	for _, cfg := range []Config{
-		{Strategy: strategy.MaxMaxStrategy{}, TopK: 20, Shards: 3},
-		{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2},
+	for _, tc := range []struct {
+		cfg  Config
+		seed int64
+	}{
+		{Config{Strategy: strategy.MaxMaxStrategy{}, TopK: 20}, 44},
+		{Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4}, 43},
 	} {
-		rng := rand.New(rand.NewSource(int64(41 + cfg.Shards)))
+		cfg := tc.cfg
+		rng := rand.New(rand.NewSource(tc.seed))
 		state := make([][]*amm.Pool, states)
 		for i := range state {
 			state[i] = perturb(t, rng, pools, 1+rng.Intn(len(pools)/10))
 		}
 		st := NewDelta(cfg)
-		if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
+		if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 			t.Fatal(err)
 		}
 
@@ -430,7 +436,7 @@ func TestDeltaConcurrentScansMatchFull(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := g; i < states; i += scanners {
-					reps[i], errs[i] = st.Scan(ctx, state[i], nil, src, nil)
+					reps[i], errs[i] = st.Scan(ctx, state[i], nil, src)
 				}
 			}()
 		}

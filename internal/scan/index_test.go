@@ -66,9 +66,7 @@ func deltaErrors(d *Delta) map[string]string {
 	d.mu.Unlock()
 	pools := b.top.skel.Pools()
 	out := make(map[string]string)
-	for ci := range b.top.cycles {
-		sb := b.shards[b.plan.shardOf[ci]]
-		e := sb.entries[b.plan.localOf[ci]]
+	for ci, e := range b.state.entries {
 		if e.orient != orientNone && e.err != nil {
 			out[loopKey(strategy.LoopFromHops(pools, b.top.hops(ci, e.orient), b.top.tokens))] = e.err.Error()
 		}
@@ -126,7 +124,7 @@ func TestRunDeltaIndexPathCases(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	static := cex.NewStatic(prices)
 	ctx := context.Background()
-	len34 := Config{Strategy: strategy.ConvexStrategy{}, MinLen: 3, MaxLen: 4, Shards: 2, TopK: 10}
+	len34 := Config{Strategy: strategy.ConvexStrategy{}, MinLen: 3, MaxLen: 4, TopK: 10}
 	all, err := Run(ctx, pools, static, Config{Strategy: strategy.ConvexStrategy{}, MinLen: 3, MaxLen: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -148,15 +146,15 @@ func TestRunDeltaIndexPathCases(t *testing.T) {
 		{"missing price", len34, static, dropPrices{src: static, drop: map[string]bool{partial: true}}, strategy.ErrMissingPrice},
 		{"missing price at capture", len34, dropPrices{src: static, drop: map[string]bool{partial: true}}, dropPrices{src: static, drop: map[string]bool{partial: true}}, strategy.ErrMissingPrice},
 		{"zero price", len34, cex.NewStatic(zeroed), cex.NewStatic(zeroed), nil},
-		{"zero price, MaxMax", Config{Strategy: strategy.MaxMaxStrategy{}, Shards: 2, TopK: 10}, cex.NewStatic(zeroed), cex.NewStatic(zeroed), nil},
+		{"zero price, MaxMax", Config{Strategy: strategy.MaxMaxStrategy{}, TopK: 10}, cex.NewStatic(zeroed), cex.NewStatic(zeroed), nil},
 		{"zero price, then none", len34, cex.NewStatic(zeroPartial), dropPrices{src: cex.NewStatic(zeroPartial), drop: map[string]bool{partial: true}}, strategy.ErrMissingPrice},
-		{"start on some loops", Config{Strategy: strategy.TraditionalStrategy{Start: partial}, Shards: 2, TopK: 10}, static, static, strategy.ErrUnknownStart},
+		{"start on some loops", Config{Strategy: strategy.TraditionalStrategy{Start: partial}, TopK: 10}, static, static, strategy.ErrUnknownStart},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			feed := &switchPrices{src: tc.capture}
 			st := NewDelta(tc.cfg)
-			if _, err := st.Scan(ctx, pools, nil, feed, nil); err != nil {
+			if _, err := st.Scan(ctx, pools, nil, feed); err != nil {
 				t.Fatal(err)
 			}
 			feed.src = tc.scans
@@ -166,7 +164,7 @@ func TestRunDeltaIndexPathCases(t *testing.T) {
 				if round > 0 {
 					state = perturb(t, rng, state, 1+rng.Intn(len(state)/10))
 				}
-				delta, err := st.Scan(ctx, state, nil, feed, nil)
+				delta, err := st.Scan(ctx, state, nil, feed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,17 +216,17 @@ func TestRunDeltaAllLoopsFailingMatchesRun(t *testing.T) {
 		none[tok] = true
 	}
 	for _, cfg := range []Config{
-		{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2, TopK: 20},
-		{Strategy: strategy.MaxMaxStrategy{}, Shards: 3},
+		{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, TopK: 20},
+		{Strategy: strategy.MaxMaxStrategy{}},
 	} {
 		feed := &switchPrices{src: cex.NewStatic(prices)}
 		st := NewDelta(cfg)
-		if _, err := st.Scan(ctx, pools, nil, feed, nil); err != nil {
+		if _, err := st.Scan(ctx, pools, nil, feed); err != nil {
 			t.Fatal(err)
 		}
 		feed.src = dropPrices{src: cex.NewStatic(prices), drop: none}
 		state := perturb(t, rand.New(rand.NewSource(3)), pools, 5)
-		_, deltaErr := st.Scan(ctx, state, nil, feed, nil)
+		_, deltaErr := st.Scan(ctx, state, nil, feed)
 		_, runErr := Run(ctx, rebuild(t, state), feed, cfg)
 		if deltaErr == nil || runErr == nil {
 			t.Fatalf("%s: delta err %v, Run err %v; both must fail", cfg.Strategy.Name(), deltaErr, runErr)
@@ -340,7 +338,7 @@ func TestDeltaConvexSolvesOncePerReoptimizedLoop(t *testing.T) {
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 	for _, topK := range []int{20, 0} {
-		st := NewDelta(Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2, TopK: topK})
+		st := NewDelta(Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, TopK: topK})
 		rng := rand.New(rand.NewSource(5))
 		before := strategy.Telemetry().Solves.Load()
 		reoptimized := 0
@@ -349,7 +347,7 @@ func TestDeltaConvexSolvesOncePerReoptimizedLoop(t *testing.T) {
 			if round > 0 {
 				state = perturb(t, rng, state, 10)
 			}
-			rep, err := st.Scan(ctx, state, nil, src, nil)
+			rep, err := st.Scan(ctx, state, nil, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,8 +364,8 @@ func TestDeltaConvexSolvesOncePerReoptimizedLoop(t *testing.T) {
 
 // TestDeltaConcurrentServedFormsMatchFull: a built-in strategy's loops
 // get their served forms only when a report keeps them, and a scan that
-// finds its shard clean caches them on state every concurrent scan
-// shares. Scanners racing over one engine — half of them on an
+// changes nothing caches them on the committed state every concurrent
+// scan shares. Scanners racing over one engine — half of them on an
 // unchanged market, where every served form is built on shared state,
 // half on dirty ones — must each still report what a full scan of its
 // own state reports.
@@ -378,8 +376,8 @@ func TestDeltaConcurrentServedFormsMatchFull(t *testing.T) {
 	const scanners, states = 4, 32
 
 	for _, cfg := range []Config{
-		{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, Shards: 2, TopK: 20},
-		{Strategy: strategy.MaxMaxStrategy{}, Shards: 3, TopK: 5},
+		{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, TopK: 20},
+		{Strategy: strategy.MaxMaxStrategy{}, TopK: 5},
 	} {
 		rng := rand.New(rand.NewSource(17))
 		state := make([][]*amm.Pool, states)
@@ -391,7 +389,7 @@ func TestDeltaConcurrentServedFormsMatchFull(t *testing.T) {
 			}
 		}
 		st := NewDelta(cfg)
-		if _, err := st.Scan(ctx, pools, nil, src, nil); err != nil {
+		if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 			t.Fatal(err)
 		}
 		reps := make([]Report, states)
@@ -402,7 +400,7 @@ func TestDeltaConcurrentServedFormsMatchFull(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := g; i < states; i += scanners {
-					reps[i], errs[i] = st.Scan(ctx, state[i], nil, src, nil)
+					reps[i], errs[i] = st.Scan(ctx, state[i], nil, src)
 				}
 			}()
 		}

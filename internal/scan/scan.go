@@ -2,12 +2,16 @@
 // arbloop.Scanner: build the token graph from a pool source, enumerate
 // candidate cycles once, keep the profitable orientations, fetch every
 // needed CEX price in one batched call, and fan the per-loop optimization
-// out over a bounded worker pool. Detection is sequential (it is a single
-// graph traversal); optimization is the hot loop the paper's §VII runtime
-// table measures. Loops are independent, so it needs no coordination,
-// but with the exact convex solve at about 1 µs per loop the fan-out
-// does not always pay: a whole-market Convex scan measured 0.60–0.84× at
-// parallelism 2 against 1 on a 2-CPU Xeon (ROADMAP item 4).
+// out over up to Config.Parallelism goroutines, spawned per scan.
+// Detection is sequential (it is a single graph traversal); optimization
+// is the hot loop the paper's §VII runtime table measures. Loops are
+// independent, so it needs no coordination, but with the exact convex
+// solve at about 1 µs per loop the fan-out pays only where per-loop work
+// dominates: a whole-market Convex scan at parallelism 2 against 1 on a
+// 2-CPU Xeon read 0.81–1.17× at loop length 3 (123 loops), 1.01–1.32× at
+// length 4 (755) and 1.17–1.44× at length 5 (5,167), fastest of 15
+// interleaved scans each, over five runs. The delta engine (delta.go)
+// re-optimizes a block's few dirty loops inline.
 //
 // Detection itself is split in two phases. The *topology* phase — cycle
 // enumeration over the token graph — depends only on which pools exist,
@@ -68,8 +72,9 @@ type Config struct {
 	MinLen, MaxLen int
 	// Strategy is the per-loop optimizer (default MaxMaxStrategy).
 	Strategy strategy.Strategy
-	// Parallelism bounds the optimization worker pool (default
-	// GOMAXPROCS when resolved).
+	// Parallelism bounds how many goroutines a full scan (Run, Stream, a
+	// Delta's capture) optimizes loops on (default GOMAXPROCS when
+	// resolved). A delta scan re-optimizes its dirty loops inline.
 	Parallelism int
 	// MinProfitUSD drops results predicted below this (default 0: keep all
 	// non-negative results).
@@ -87,25 +92,15 @@ type Config struct {
 	// enumeration bounds, so successive scans over topology-identical
 	// pool sets skip enumeration and only re-orient + re-optimize.
 	Cache *Cache
-	// Shards partitions the cycle set for the delta path (default
-	// GOMAXPROCS at NewDelta, fixed for the engine's life): each shard
-	// owns the captured state of its cycles, and a delta scan re-orients
-	// only the shards whose dirty set is non-empty, in parallel. Full
-	// scans ignore it. See shard.go.
-	Shards int
-	// Workers, when non-nil, runs Run's and Stream's parallel phases on a
-	// persistent goroutine pool instead of spawning goroutines per scan.
-	// A Delta ignores it and takes its pool per Scan call instead.
-	Workers *Workers
 	// DisableDelta turns the public Scanner's delta path off (its Watch
 	// and ScanDelta fall back to full scans). The engine itself ignores
 	// it: Run is always a full scan and a Delta is always delta-capable.
 	DisableDelta bool
 	// Metrics, when non-nil, receives per-stage latencies, scan/loop
-	// counters, per-pool dirtiness EMAs, and per-shard wake-up counts
-	// from every scan through this config (see Metrics). Nil disables
-	// instrumentation. The writes the engine performs against it on the
-	// steady-state delta path are allocation-free.
+	// counters, and per-pool dirtiness EMAs from every scan through this
+	// config (see Metrics). Nil disables instrumentation. The writes the
+	// engine performs against it on the steady-state delta path are
+	// allocation-free.
 	Metrics *Metrics
 	// StageTimeout bounds each externally-dependent stage of one scan —
 	// today the batched CEX price fetch, the one place a scan blocks on
@@ -118,9 +113,9 @@ type Config struct {
 }
 
 // Resolve returns c with every unset field at its default. Parallelism
-// and Shards default to the GOMAXPROCS of the call, so a long-lived
-// engine resolves once (NewDelta, arbloop.NewScanner) and keeps its
-// partition and pool width when GOMAXPROCS later changes.
+// defaults to the GOMAXPROCS of the call, so a long-lived engine
+// resolves once (NewDelta, arbloop.NewScanner) and keeps its fan-out
+// width when GOMAXPROCS later changes.
 func (c Config) Resolve() Config {
 	if c.MinLen <= 0 {
 		c.MinLen = 3
@@ -133,9 +128,6 @@ func (c Config) Resolve() Config {
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -159,7 +151,8 @@ type Result struct {
 type Report struct {
 	// Strategy is the name of the optimizer that ran.
 	Strategy string
-	// Parallelism is the worker-pool width used.
+	// Parallelism is the resolved Config.Parallelism: the fan-out width
+	// of a full scan.
 	Parallelism int
 	// Tokens and Pools count the scanned graph.
 	Tokens, Pools int
@@ -182,9 +175,11 @@ type Report struct {
 	// LoopsReused counts loops merged from the previous scan's results
 	// without re-optimization (always 0 for a full scan).
 	LoopsReused int
-	// ShardsScanned counts the shards whose state was rescanned: every
-	// shard on a capture (full) pass through the delta engine, only the
-	// dirty ones on a delta scan, 0 for a plain unsharded Run.
+	// ShardsScanned is 1 when the delta engine rescanned its captured
+	// state — on a capture (full) pass, and on a delta scan that
+	// re-oriented or re-optimized any loop — and 0 otherwise, always 0 for
+	// a plain Run. The engine keeps one state; the field keeps its name
+	// and its wire name, shards_scanned.
 	ShardsScanned int
 	// Degraded reports that the scan's prices came from a fallback (a
 	// circuit-broken source serving last-known-good data — see
@@ -353,8 +348,8 @@ func fetchPriceSymbols(ctx context.Context, prices source.PriceSource, symbols [
 	return strategy.PriceMap(fetched), degraded, nil
 }
 
-// fanOut optimizes the loops named by jobs (indices into loops) over a
-// bounded worker pool, delivering one Result per job to emit (in
+// fanOut optimizes the loops named by jobs (indices into loops) over up
+// to cfg.Parallelism goroutines, delivering one Result per job to emit (in
 // arbitrary order). Dispatch is chunked: workers pull job indices from a
 // shared atomic cursor instead of receiving one unbuffered-channel send
 // per loop, so per-loop dispatch costs one atomic add and the p=2
@@ -364,8 +359,7 @@ func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, j
 	if len(jobsList) == 0 {
 		return
 	}
-	// Never run more workers than jobs: the delta path's job list is
-	// routinely a handful of loops (or none) on the per-block hot path.
+	// Never run more workers than jobs.
 	workers := cfg.Parallelism
 	if len(jobsList) < workers {
 		workers = len(jobsList)
@@ -387,7 +381,7 @@ func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, j
 		stopped atomic.Bool // a consumer rejected further results
 		emitMu  sync.Mutex
 	)
-	forEachIndex(ctx, cfg.Workers, workers, len(jobsList), func(k int) bool {
+	forEachIndex(ctx, workers, len(jobsList), func(k int) bool {
 		if stopped.Load() {
 			return false
 		}
@@ -409,9 +403,8 @@ func fanOut(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, j
 // loops named by jobs and writes each outcome to out[job] directly. Job
 // indices are distinct, so workers need no emit lock, and the
 // single-worker path runs inline — zero allocations per loop and zero
-// per scan. Unprocessed jobs are left zero when ctx is cancelled. pool,
-// when non-nil, runs the parallel path on persistent goroutines.
-func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, out []Result, cfg Config, pool *Workers) {
+// per scan. Unprocessed jobs are left zero when ctx is cancelled.
+func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.PriceMap, jobsList []int, out []Result, cfg Config) {
 	if len(jobsList) == 0 {
 		return
 	}
@@ -429,7 +422,7 @@ func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.Price
 		}
 		return
 	}
-	forEachIndex(ctx, pool, workers, len(jobsList), func(k int) bool {
+	forEachIndex(ctx, workers, len(jobsList), func(k int) bool {
 		i := jobsList[k]
 		res, err := optimizeOne(ctx, cfg.Strategy, loops[i], pm, cfg.Metrics)
 		out[i] = Result{Index: i, Loop: loops[i], Result: res, Err: err}
@@ -437,14 +430,41 @@ func optimizeInto(ctx context.Context, loops []*strategy.Loop, pm strategy.Price
 	})
 }
 
+// forEachIndex runs fn(k) for every k in [0, n) on workers goroutines
+// (at most n) pulling indices from a shared atomic cursor — the one
+// chunked-dispatch loop behind both optimization fan-outs, so
+// cancellation and stop semantics live in a single place — and returns
+// when they have all finished. fn returning false stops the calling
+// goroutine; ctx cancellation stops every goroutine between indices.
+func forEachIndex(ctx context.Context, workers, n int, fn func(int) bool) {
+	workers = min(workers, n)
+	var (
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				k := cursor.Add(1) - 1
+				if k >= int64(n) || !fn(int(k)) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // optimizeOne runs the strategy on one loop. A panic inside the strategy
 // is contained here — the innermost frame the engine owns, inside the
-// pooled worker goroutines, so a panicking custom strategy fails its
-// loop (ErrStrategyPanic) instead of killing a Workers goroutine and the
-// process with it. A result whose profit is not finite fails its loop
-// the same way. The deferred recover is open-coded by the compiler
-// (one defer, not in a loop) and allocates only on the panic path, so
-// the steady-state delta budget is unchanged with containment enabled.
+// fan-out's goroutines, so a panicking custom strategy fails its loop
+// (ErrStrategyPanic) instead of killing the process. A result whose
+// profit is not finite fails its loop the same way. The deferred
+// recover is open-coded by the compiler (one defer, not in a loop) and
+// allocates only on the panic path, so the steady-state delta budget is
+// unchanged with containment enabled.
 func optimizeOne(ctx context.Context, s strategy.Strategy, l *strategy.Loop, pm strategy.PriceMap, m *Metrics) (res strategy.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -596,7 +616,7 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 	if m != nil {
 		t = time.Now()
 	}
-	all := collectAll(ctx, d, cfg, cfg.Workers)
+	all := collectAll(ctx, d, cfg)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -614,9 +634,9 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 
 // collectAll runs the optimization fan-out over every detected loop and
 // returns the complete result set indexed by loop.
-func collectAll(ctx context.Context, d *detection, cfg Config, pool *Workers) []Result {
+func collectAll(ctx context.Context, d *detection, cfg Config) []Result {
 	all := make([]Result, len(d.loops))
-	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), all, cfg, pool)
+	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), all, cfg)
 	return all
 }
 

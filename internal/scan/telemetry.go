@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -26,20 +25,19 @@ const DirtinessTau = 30 * time.Second
 const StageSample = 8
 
 // Metrics is the scan engine's telemetry: per-stage latency histograms,
-// scan/loop counters, per-pool dirtiness-rate EMAs, and per-shard
-// wake-up counts. Wire one into Config.Metrics (the public Scanner does
-// this by default) and expose it through a telemetry.Registry with
-// Register.
+// scan/loop counters, and per-pool dirtiness-rate EMAs. Wire one into
+// Config.Metrics (the public Scanner does this by default) and expose it
+// through a telemetry.Registry with Register.
 //
 // Every write the engine performs against a Metrics on the steady-state
 // delta path is allocation-free: the histograms and counters are
-// fixed-size atomics, and the per-pool/per-shard vectors are rebuilt
-// only when a capture (full scan) changes the pool set or shard plan —
-// the delta path just indexes into them. The ~7-alloc AllocsPerRun
-// budget on ScanDelta holds with Metrics enabled.
+// fixed-size atomics, and the per-pool vector is rebuilt only when a
+// capture (full scan) changes the pool set — the delta path just indexes
+// into it. The ~7-alloc AllocsPerRun budget on ScanDelta holds with
+// Metrics enabled.
 type Metrics struct {
 	// Stage histograms split one scan into the engine's four phases:
-	// orientation (dirty diff + shard re-orientation + stitch, or
+	// orientation (dirty diff + re-orientation + loop numbering, or
 	// detection on a full scan), the batched CEX price fetch + diff, the
 	// optimization fan-out, and the copy-on-write commit (including
 	// report assembly). On the delta fast path these (and ScanTotal) are
@@ -70,7 +68,6 @@ type Metrics struct {
 	// StageSample and timedScan).
 	scanSeq atomic.Uint64
 	pools   atomic.Pointer[poolDirtiness]
-	shards  atomic.Pointer[shardWakeups]
 	// primed holds restart priors for the per-pool dirtiness EMAs (see
 	// PrimeDirtiness), consumed by the next capture.
 	primed atomic.Pointer[map[string]float64]
@@ -85,13 +82,6 @@ type poolDirtiness struct {
 	ema []*telemetry.EMA
 }
 
-// shardWakeups is one counter per shard of the captured plan. The
-// counters are cache-line padded (telemetry.Counter), so parallel
-// phase-A workers bumping adjacent shards never false-share.
-type shardWakeups struct {
-	wake []telemetry.Counter
-}
-
 // NewMetrics returns an empty Metrics ready to wire into Config.Metrics.
 func NewMetrics() *Metrics { return &Metrics{} }
 
@@ -103,10 +93,10 @@ func (m *Metrics) timedScan() bool {
 	return m.scanSeq.Add(1)%StageSample == 1
 }
 
-// capture (re)sizes the per-pool and per-shard vectors for a freshly
-// captured baseline. Runs on the full-scan path only — it allocates.
-// Pools that persist across the capture keep their EMA state.
-func (m *Metrics) capture(pools []*amm.Pool, nShards int) {
+// capture (re)sizes the per-pool vector for a freshly captured baseline.
+// Runs on the full-scan path only — it allocates. Pools that persist
+// across the capture keep their EMA state.
+func (m *Metrics) capture(pools []*amm.Pool) {
 	priors := m.primed.Swap(nil)
 	old := m.pools.Load()
 	rebuild := old == nil || len(old.ids) != len(pools)
@@ -143,9 +133,6 @@ func (m *Metrics) capture(pools []*amm.Pool, nShards int) {
 		}
 		m.pools.Store(pd)
 	}
-	if sw := m.shards.Load(); sw == nil || len(sw.wake) != nShards {
-		m.shards.Store(&shardWakeups{wake: make([]telemetry.Counter, nShards)})
-	}
 	// Start (or restart) the EMA clock so the first delta scan after this
 	// capture weights its sweep by a real gap.
 	m.lastScanNano.Store(time.Now().UnixNano())
@@ -181,13 +168,6 @@ func (m *Metrics) observeDirtiness(dirty []bool, nDirty int, now time.Time) {
 	}
 }
 
-// shardWake counts one shard waking up (re-orienting) this scan.
-func (m *Metrics) shardWake(s int) {
-	if sw := m.shards.Load(); sw != nil && s >= 0 && s < len(sw.wake) {
-		sw.wake[s].Inc()
-	}
-}
-
 // PrimeDirtiness stages restart priors for the per-pool dirtiness EMAs:
 // estimates recovered from the durable opportunity log's tail, keyed by
 // pool ID. The next capture consumes the map (take-once) and seeds the
@@ -216,22 +196,8 @@ func (m *Metrics) PoolDirtiness() map[string]float64 {
 	return out
 }
 
-// ShardWakeups returns the per-shard wake-up counts of the current plan
-// (nil before the first capture).
-func (m *Metrics) ShardWakeups() []uint64 {
-	sw := m.shards.Load()
-	if sw == nil {
-		return nil
-	}
-	out := make([]uint64, len(sw.wake))
-	for i := range sw.wake {
-		out[i] = sw.wake[i].Load()
-	}
-	return out
-}
-
-// Register exposes every metric on reg under the arbloop_scan_* /
-// arbloop_pool_* / arbloop_shard_* families.
+// Register exposes every metric on reg under the arbloop_scan_* and
+// arbloop_pool_* families.
 func (m *Metrics) Register(reg *telemetry.Registry) {
 	const stageHelp = "scan latency split by engine stage"
 	reg.Histogram("arbloop_scan_stage_duration_seconds", `stage="orient"`, stageHelp, &m.StageOrient)
@@ -256,17 +222,6 @@ func (m *Metrics) Register(reg *telemetry.Registry) {
 			now := time.Now()
 			for i, id := range pd.ids {
 				emit(id, pd.ema[i].DecayedValue(now))
-			}
-		})
-	reg.CounterVec("arbloop_shard_wakeups_total", "shard",
-		"times each delta-engine shard re-oriented (woke) across scans",
-		func(emit func(string, float64)) {
-			sw := m.shards.Load()
-			if sw == nil {
-				return
-			}
-			for i := range sw.wake {
-				emit(strconv.Itoa(i), float64(sw.wake[i].Load()))
 			}
 		})
 }

@@ -25,7 +25,7 @@ func TestMetricsPrimeDirtiness(t *testing.T) {
 		}
 		pools[i] = p
 	}
-	m.capture(pools, 1)
+	m.capture(pools)
 	d := m.PoolDirtiness()
 	if d["P0"] < 0.5 || d["P0"] > 0.75 {
 		t.Fatalf("P0 prior = %v, want ~0.75 decaying", d["P0"])
@@ -41,7 +41,7 @@ func TestMetricsPrimeDirtiness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.capture(append(pools, p3), 1)
+	m.capture(append(pools, p3))
 	if v := m.PoolDirtiness()["P3"]; v != 0 {
 		t.Fatalf("post-priming capture primed P3 = %v", v)
 	}

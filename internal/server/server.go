@@ -106,8 +106,8 @@ type Health struct {
 	Strategy string `json:"strategy"`
 	// Delta, when the embedder registers a probe (SetDeltaStatsProbe),
 	// reports the delta engine's lifetime counters — full captures vs
-	// delta scans and the shard wake-up totals — so the fast-path hit
-	// rate is observable in production.
+	// delta scans, and how many scans rescanned its state — so the
+	// fast-path hit rate is observable in production.
 	Delta *DeltaHealth `json:"delta,omitempty"`
 	// Connections, when the embedder registers a probe
 	// (SetConnStatsProbe, or WithConnTracker which registers one),
@@ -133,7 +133,7 @@ type Health struct {
 	Oplog *oplog.Stats `json:"oplog,omitempty"`
 	// Telemetry is the flattened scalar summary of the server's metric
 	// registry (counters, gauges, histogram counts and sums in seconds —
-	// labeled per-pool/per-shard series are left to /v1/metrics).
+	// labeled per-pool series are left to /v1/metrics).
 	Telemetry map[string]float64 `json:"telemetry,omitempty"`
 }
 
@@ -143,9 +143,10 @@ type DeltaHealth struct {
 	// steady state is one full capture followed by delta scans.
 	FullScans  uint64 `json:"full_scans"`
 	DeltaScans uint64 `json:"delta_scans"`
-	// Shards is the current shard count; ShardsScanned the cumulative
-	// shards rescanned across all scans (captures contribute every
-	// shard, delta scans only the dirty ones).
+	// Shards is 1 once the engine has captured its one state (0
+	// before); ShardsScanned counts the scans that rescanned it: every
+	// capture, and every delta scan that re-oriented or re-optimized a
+	// loop.
 	Shards        int    `json:"shards"`
 	ShardsScanned uint64 `json:"shards_scanned"`
 }

@@ -134,7 +134,7 @@ func (e *EMA) ObserveAlpha(x, alpha float64) {
 
 // DecayAdd is the event-driven update for indicator-style EMAs — series
 // that are 1 at sparse event instants and implicitly 0 everywhere else
-// (a pool trading, a shard waking). Because a run of zero observations
+// (a pool trading). Because a run of zero observations
 // telescopes to one exponential factor, v·Πexp(−dtₖ/τ) = v·exp(−Δt/τ),
 // skipping the zero sweeps entirely and decaying over the whole gap at
 // the next event is *exactly* equivalent to sweeping every interval:

@@ -66,14 +66,9 @@ func (r *Registry) Histogram(family, labels, help string, h *Histogram) {
 	r.add(registryEntry{family: family, labels: labels, help: help, typ: "histogram", hist: h})
 }
 
-// CounterVec registers a labeled counter family whose members are only
-// known at exposition time (per-pool, per-shard). collect must call
-// emit once per member with the label value and current count.
-func (r *Registry) CounterVec(family, labelKey, help string, collect func(emit func(labelValue string, v float64))) {
-	r.add(registryEntry{family: family, help: help, typ: "counter", vec: collect, vecLabel: labelKey})
-}
-
-// GaugeVec is CounterVec for gauge semantics (per-pool dirtiness rates).
+// GaugeVec registers a labeled gauge family whose members are only
+// known at exposition time (per-pool dirtiness rates). collect must call
+// emit once per member with the label value and current value.
 func (r *Registry) GaugeVec(family, labelKey, help string, collect func(emit func(labelValue string, v float64))) {
 	r.add(registryEntry{family: family, help: help, typ: "gauge", vec: collect, vecLabel: labelKey})
 }

@@ -27,8 +27,7 @@ import (
 // Counter is a monotonically increasing event count. It is padded to a
 // cache line so slices of counters indexed by shard or worker never
 // false-share: two cores bumping adjacent counters would otherwise
-// bounce one line between them, which is exactly the per-shard wake-up
-// counting pattern the scan layer uses. The zero value is ready to use.
+// bounce one line between them. The zero value is ready to use.
 //
 // Counters are shared by address between writers and the exposition
 // side; copying one forks its state. Enforced by arblint's nocopy

@@ -18,13 +18,13 @@ type ScanReport = scan.Report
 
 // Scanner runs whole-market scans: detect arbitrage loops once from a
 // PoolSource, batch-fetch CEX prices from a PriceSource, and fan the
-// per-loop optimization out over a bounded worker pool. A Scanner's
-// configuration is immutable after construction and safe for concurrent
-// use — any number of Scan, ScanStream, ScanVersioned, ScanDelta, and
-// Watch calls may run at once, each seeing its own point-in-time view of
-// the sources (delta scans briefly lock the scanner's delta state to
-// snapshot and commit baselines; prices and optimization always run
-// outside the lock).
+// per-loop optimization out over up to WithParallelism goroutines. A
+// Scanner's configuration is immutable after construction and safe for
+// concurrent use — any number of Scan, ScanStream, ScanVersioned,
+// ScanDelta, and Watch calls may run at once, each seeing its own
+// point-in-time view of the sources (delta scans briefly lock the
+// scanner's delta state to snapshot and commit baselines; prices and
+// optimization always run outside the lock).
 //
 // Every Scanner carries a topology cache (see WithTopologyCache): the
 // cycle-enumeration half of detection is keyed by a fingerprint of the
@@ -85,10 +85,12 @@ func (e errStrategy) Optimize(context.Context, *Loop, PriceMap) (Result, error) 
 	return Result{}, fmt.Errorf("arbloop: unknown strategy %q", e.name)
 }
 
-// WithParallelism bounds the optimization worker pool (default
-// GOMAXPROCS, resolved once at NewScanner: later GOMAXPROCS changes do
-// not resize it). Parallelism 1 reproduces the sequential per-loop order
-// of work exactly.
+// WithParallelism bounds how many goroutines a full scan (Scan,
+// ScanStream, ScanVersioned, and a delta capture) optimizes loops on
+// (default GOMAXPROCS, resolved once at NewScanner: later GOMAXPROCS
+// changes do not resize it). Parallelism 1 reproduces the sequential
+// per-loop order of work exactly. A delta scan re-optimizes its few
+// dirty loops inline.
 func WithParallelism(n int) ScannerOption {
 	return func(c *scan.Config) { c.Parallelism = n }
 }
@@ -136,10 +138,9 @@ func WithDeltaScans(enabled bool) ScannerOption {
 }
 
 // ScanMetrics is the scanner's telemetry: per-stage latency histograms,
-// scan and loop counters, per-pool dirtiness-rate EMAs, and per-shard
-// wake-up counts. Obtain with Scanner.Metrics; expose on a
-// telemetry.Registry with its Register method (internal/server mounts
-// the registry at GET /v1/metrics).
+// scan and loop counters, and per-pool dirtiness-rate EMAs. Obtain with
+// Scanner.Metrics; expose on a telemetry.Registry with its Register
+// method (internal/server mounts the registry at GET /v1/metrics).
 type ScanMetrics = scan.Metrics
 
 // WithStageTimeout bounds the price-fetch stage of every scan (default 0:
@@ -152,22 +153,20 @@ func WithStageTimeout(d time.Duration) ScannerOption {
 	return func(c *scan.Config) { c.StageTimeout = d }
 }
 
-// WithShards partitions the cycle set into n shards for the delta path
-// (default GOMAXPROCS, resolved once at NewScanner: later GOMAXPROCS
-// changes do not re-partition). Each shard owns the remembered state of
-// its cycles — partitioned connected-component-aware over the
-// pool→cycle index — and a delta scan re-orients only the shards a dirty
-// pool touches, in parallel. Shards change how the work is organized,
-// not the results: reports are identical at every shard count.
-// WithParallelism independently bounds how many goroutines execute the
-// shard and per-loop work.
+// WithShards does nothing. The delta engine keeps one captured state
+// and re-optimizes a block's dirty loops inline, so there is nothing to
+// partition; reports are the same at every n.
+//
+// Deprecated: the delta engine has no shards. Remove the option;
+// WithParallelism still bounds full scans.
 func WithShards(n int) ScannerOption {
-	return func(c *scan.Config) { c.Shards = n }
+	return func(*scan.Config) {}
 }
 
 // DeltaStats reports how the scanner's delta state resolved its scans:
-// full captures vs delta scans, cumulative shards rescanned, and the
-// current shard count. Zero when delta scans are disabled.
+// full captures vs delta scans, how many scans rescanned the captured
+// state, and Shards, 1 once a state is captured. Zero when delta scans
+// are disabled.
 type DeltaStats = scan.DeltaStats
 
 // DeltaStats returns the scanner's delta-path counters.
@@ -290,35 +289,25 @@ func (s *Scanner) ScanVersioned(ctx context.Context, u PoolUpdate) (VersionedRep
 // ScanDelta scans one versioned pool update on the delta path: only
 // loops affected by the update's reserve changes (widened by
 // Update.ChangedPools when the feed provides it) or by moved CEX prices
-// are re-optimized — in parallel across the shards they touch (see
-// WithShards); every other result merges from the scanner's previous
-// scan. The report — results, ordering, counters — is identical to
-// ScanVersioned's full scan of the same update; LoopsReoptimized,
-// LoopsReused, and ShardsScanned show the split. The scan transparently
-// falls back to a full one whenever the previous state cannot be reused:
-// the first scan, a topology change, or WithDeltaScans(false).
+// are re-optimized, inline; every other result merges from the
+// scanner's previous scan. The report — results, ordering, counters — is
+// identical to ScanVersioned's full scan of the same update;
+// LoopsReoptimized, LoopsReused, and ShardsScanned show the split. The
+// scan transparently falls back to a full one whenever the previous
+// state cannot be reused: the first scan, a topology change, or
+// WithDeltaScans(false).
 //
 // Reserve changes are diffed against the scanner's own previous scan,
 // not trusted from the update, so coalesced feeds (skipped versions) and
 // stale ChangedPools sets cannot produce a wrong report.
 func (s *Scanner) ScanDelta(ctx context.Context, u PoolUpdate) (VersionedReport, error) {
-	return s.scanUpdate(ctx, u, nil)
-}
-
-// scanUpdate runs one versioned scan on the given worker pool (nil:
-// spawn per scan) — the delta path when the scanner has a delta engine,
-// a full scan otherwise. Watch passes its persistent pool; ScanDelta
-// passes none.
-func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, workers *scan.Workers) (VersionedReport, error) {
 	start := time.Now()
 	var rep ScanReport
 	var err error
 	if s.delta != nil {
-		rep, err = s.delta.Scan(ctx, u.Pools, u.ChangedPools, s.prices, workers)
+		rep, err = s.delta.Scan(ctx, u.Pools, u.ChangedPools, s.prices)
 	} else {
-		cfg := s.cfg
-		cfg.Workers = workers
-		rep, err = scan.Run(ctx, u.Pools, s.prices, cfg)
+		rep, err = scan.Run(ctx, u.Pools, s.prices, s.cfg)
 	}
 	if err != nil {
 		return VersionedReport{}, fmt.Errorf("arbloop: scan version %d: %w", u.Version, err)
@@ -341,20 +330,14 @@ func (s *Scanner) scanUpdate(ctx context.Context, u PoolUpdate, workers *scan.Wo
 // watch continues; one bad block must not take the service down.
 //
 // Scans run on the delta path (see ScanDelta): a reserve-only update
-// re-optimizes only the loops its dirty pools touch, in parallel across
-// their shards. WithDeltaScans(false) restores full scans per update.
-//
-// Watch keeps one persistent worker pool for its lifetime, so the
-// per-block parallel phases reuse parked goroutines instead of spawning
-// fresh ones every block; the pool is released when the watch ends.
+// re-optimizes only the loops its dirty pools touch.
+// WithDeltaScans(false) restores full scans per update.
 func (s *Scanner) Watch(ctx context.Context, w *Watcher) <-chan VersionedReport {
 	out := make(chan VersionedReport)
 	updates, cancel := w.Subscribe()
-	pool := scan.NewWorkers(s.cfg.Parallelism)
 	go func() {
 		defer close(out)
 		defer cancel()
-		defer pool.Close()
 		for {
 			select {
 			case <-ctx.Done():
@@ -363,7 +346,7 @@ func (s *Scanner) Watch(ctx context.Context, w *Watcher) <-chan VersionedReport 
 				if !ok {
 					return
 				}
-				vr, err := s.scanUpdate(ctx, u, pool)
+				vr, err := s.ScanDelta(ctx, u)
 				if err != nil {
 					if ctx.Err() != nil {
 						return

@@ -190,10 +190,10 @@ func TestScanDeltaConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestScanDeltaSurvivesGOMAXPROCSChange: NewScanner resolves the shard
-// count and parallelism once, so a GOMAXPROCS change between blocks (a
-// cgroup re-tune, testing.AllocsPerRun) must neither re-partition the
-// delta baseline nor force a full re-capture.
+// TestScanDeltaSurvivesGOMAXPROCSChange: NewScanner resolves its
+// parallelism once, so a GOMAXPROCS change between blocks (a cgroup
+// re-tune, testing.AllocsPerRun) must neither resize it nor force a full
+// re-capture of the delta state.
 func TestScanDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
@@ -225,7 +225,7 @@ func TestScanDeltaSurvivesGOMAXPROCSChange(t *testing.T) {
 			t.Errorf("GOMAXPROCS %d: report parallelism %d, want %d resolved at construction", p, vr.Report.Parallelism, procs)
 		}
 	}
-	if s := sc.DeltaStats(); s.FullScans != 1 || s.DeltaScans != 2 || s.Shards != procs {
-		t.Errorf("stats = %+v, want 1 full + 2 delta scans over %d shards", s, procs)
+	if s := sc.DeltaStats(); s.FullScans != 1 || s.DeltaScans != 2 || s.Shards != 1 {
+		t.Errorf("stats = %+v, want 1 full + 2 delta scans over the one state", s)
 	}
 }

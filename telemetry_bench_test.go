@@ -18,8 +18,8 @@ import (
 // TestTelemetryScanAllocs is the instrumentation acceptance guard: with
 // telemetry enabled (the default), a steady-state delta scan through the
 // public API must stay within the same 7-allocation budget the engine
-// held before instrumentation existed. Every stage histogram, dirtiness
-// EMA, and shard wake-up counter is live during the measurement.
+// held before instrumentation existed. Every stage histogram and
+// dirtiness EMA is live during the measurement.
 func TestTelemetryScanAllocs(t *testing.T) {
 	ctx := context.Background()
 	market, prices := newMutableMarket(t)
@@ -121,12 +121,12 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 		t.Fatal(err)
 	}
 	src := cex.NewStatic(filtered.PricesUSD)
-	cfgOff := scan.Config{Strategy: strategy.MaxMaxStrategy{}, Parallelism: 1, Shards: 4}
+	cfgOff := scan.Config{Strategy: strategy.MaxMaxStrategy{}, Parallelism: 1}
 	cfgOn := cfgOff
 	cfgOn.Metrics = scan.NewMetrics()
 	plain, instrumented := scan.NewDelta(cfgOff), scan.NewDelta(cfgOn)
 	for _, d := range []*scan.Delta{plain, instrumented} {
-		if _, err := d.Scan(ctx, pools, nil, src, nil); err != nil { // warm: capture + size metric vectors
+		if _, err := d.Scan(ctx, pools, nil, src); err != nil { // warm: capture + size metric vectors
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func benchTelemetry(t *testing.T) telemetryBenchSection {
 	const pairs = 2000
 	run := func(d *scan.Delta) float64 {
 		start := time.Now()
-		if _, err := d.Scan(ctx, pools, nil, src, nil); err != nil {
+		if _, err := d.Scan(ctx, pools, nil, src); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start).Seconds()
