@@ -78,11 +78,13 @@ chaos:
 	$(GO) test -race -short -run TestChaosSoak -count=1 -v ./cmd/arbloop
 	$(GO) test -race -short -run TestOplogCrashSoak -count=1 -v ./internal/oplog
 
-# Short fuzz of the AMM swap invariants and the oplog record decoder
-# (CI runs this on every PR).
+# Short fuzz of the AMM swap invariants, the oplog record decoder and
+# the frame's append encoder against encoding/json (CI runs this on
+# every PR).
 fuzz:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s ./internal/amm
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/oplog
+	$(GO) test -fuzz=FuzzFrameMatchesMarshal -fuzztime=10s ./internal/distrib
 
 clean:
 	$(GO) clean ./...

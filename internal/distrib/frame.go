@@ -1,27 +1,31 @@
 // Package distrib is the report-distribution tier: everything between
 // the scan loop and a client-facing byte. At publish time Store.Set
-// commits one immutable Frame per block — the report encoded exactly once
-// into every representation the HTTP layer serves (raw JSON, pre-gzipped
-// JSON, pre-framed SSE event bytes, top-K prefix slices, strong ETags) —
-// and swaps it behind an atomic pointer. Set reuses one gzip compressor
-// and its scratch buffers across blocks, so a publish allocates the
-// frame's own bytes and little else. Steady-state reads are a pointer
-// load, a header compare, and a buffer write: no JSON marshaling, no
-// compression, no per-client formatting, which is what lets one process
-// hold the paper's block-interval budget while serving millions of
-// readers. The conn.go side of the package guards the sockets themselves:
-// accept limiting, connection gauges, and fd-headroom probing.
+// commits one Frame per block — the report encoded exactly once into
+// every representation the HTTP layer serves on every read (raw JSON,
+// pre-framed SSE event bytes, top-K prefix slices, strong ETags) — and
+// swaps it behind an atomic pointer. Set encodes with one append encoder
+// (marshal.go) into a reused buffer, so a publish allocates the frame's
+// own bytes and little else. The gzip body is built only when a reader
+// first asks for it, once per frame, through the store's one recycled
+// compressor: most frames are replaced before anyone wants them
+// compressed. Steady-state reads are a pointer load, a header compare,
+// and a buffer write: no JSON marshaling, no per-client formatting, and
+// at most one compression per frame, which is what lets one process hold
+// the paper's block-interval budget while serving millions of readers.
+// The conn.go side of the package guards the sockets themselves: accept
+// limiting, connection gauges, and fd-headroom probing.
 package distrib
 
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"arbloop/internal/telemetry"
 )
 
 // frameTail closes a prefix-sliced report body: every `?top=N` response
@@ -30,17 +34,20 @@ import (
 var frameTail = []byte("]}")
 
 // Frame is one block's report committed to every wire representation at
-// once. Frames are immutable once Store.Set returns them: handlers share
+// once. Frames are immutable once Store.Set returns them, except for the
+// gzip body, which GzipBody builds once, on first demand: handlers share
 // slices of the same backing arrays across unbounded concurrent readers.
 type Frame struct {
 	// Report is the decoded view (healthz, logging, embedders).
 	Report ReportJSON
 	// Raw is the full report as compact JSON, byte-identical to
-	// json.Marshal(Report). It is the data line inside SSE, capped at its
-	// own length.
+	// json.Marshal(Report) except that a nil Report.Results encodes as
+	// [] where json.Marshal writes null. It is the data line inside SSE,
+	// capped at its own length.
 	Raw []byte
-	// Gzip is Raw compressed once at build time; served verbatim to
-	// clients that accept gzip.
+	// Gzip is always nil.
+	//
+	// Deprecated: call GzipBody, which compresses Raw on first demand.
 	Gzip []byte
 	// ETag is the strong validator for the full representation, quoted
 	// per RFC 9110 (derived from version+height: a republished identical
@@ -58,6 +65,22 @@ type Frame struct {
 	// etags[i] validates the top=(i+1) representation.
 	ends  []int
 	etags []string
+
+	// store compresses Raw for GzipBody, under gzOnce.
+	store  *Store
+	gzOnce sync.Once
+	gz     []byte
+	gzErr  error
+}
+
+// GzipBody returns Raw gzip-compressed at the default level, the bytes a
+// fresh gzip.NewWriter gives. The first call compresses, through the
+// store's one recycled compressor; every later call, from any goroutine,
+// returns the same slice, so a frame is compressed at most once and only
+// if some reader asks.
+func (f *Frame) GzipBody() ([]byte, error) {
+	f.gzOnce.Do(func() { f.gz, f.gzErr = f.store.compress(f.Raw) })
+	return f.gz, f.gzErr
 }
 
 // Results returns how many ranked results the frame carries.
@@ -125,30 +148,33 @@ func ETagMatches(header, etag string) bool {
 type Store struct {
 	v atomic.Pointer[Frame]
 
-	// mu serializes Set, which reuses one compressor and the scratch
-	// buffers below for every block; a fresh gzip.NewWriter would
-	// allocate ~800 kB of flate state per block.
+	// GzipBuilds counts the gzip bodies built, at most one per frame and
+	// only for frames a reader asked to have compressed.
+	GzipBuilds telemetry.Counter
+
+	// mu serializes Set, which reuses the encoder and the buffers below
+	// for every block.
 	mu   sync.Mutex
-	zw   *gzip.Writer  // writes into gz
-	enc  *json.Encoder // writes into sse
-	sse  bytes.Buffer  // the SSE event being encoded
-	gz   bytes.Buffer  // the gzip stream being written
-	tags []byte        // the frame's ETags, back to back
+	enc  reportEncoder
+	sse  []byte // the SSE event being encoded
+	tags []byte // the frame's ETags, back to back
+
+	// zmu serializes compress, apart from Set: a reader compressing an
+	// older frame never holds up a publish. A fresh gzip.NewWriter would
+	// allocate ~800 kB of flate state per body.
+	zmu sync.Mutex
+	zw  *gzip.Writer // writes into gz
+	gz  bytes.Buffer // the gzip stream being written
 }
 
 // Set encodes r into a new frame, publishes it in place of the previous
-// one, and returns it. The one marshal and one gzip pass per block
-// happen here and nowhere else. The compressor is Reset rather than
-// rebuilt, which keeps the default level and makes Gzip byte-identical
-// to a fresh gzip.NewWriter's output.
+// one, and returns it. The one encoding per block happens here and
+// nowhere else; compression waits for the frame's first gzip reader
+// (Frame.GzipBody). On error the previous frame stays published.
 func (s *Store) Set(r ReportJSON) (*Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.enc == nil {
-		s.enc = json.NewEncoder(&s.sse)
-		s.zw = gzip.NewWriter(&s.gz)
-	}
-	f := &Frame{Report: r, ends: make([]int, len(r.Results)), etags: make([]string, len(r.Results))}
+	f := &Frame{Report: r, ends: make([]int, len(r.Results)), etags: make([]string, len(r.Results)), store: s}
 
 	// The full ETag `"v<version>-h<height>"` and the `"v…-h…-t<n>"` tag of
 	// each top-n prefix are appended into one string that every tag
@@ -177,54 +203,46 @@ func (s *Store) Set(r ReportJSON) (*Frame, error) {
 	}
 
 	// The report is encoded as the data line of the SSE event (Raw is
-	// compact JSON, so one line carries it), and the finished event is
-	// copied once into the frame. Encode the head (every field before
-	// Results) once, then append each result and record its boundary.
-	// Element-wise encoding concatenated inside the head's `"results":[`
-	// is byte-identical to marshaling the whole struct (an Encoder
-	// escapes HTML as json.Marshal does), so the recorded offsets are
-	// exact.
-	s.sse.Reset()
-	s.sse.WriteString("id: ")
-	s.sse.WriteString(f.EventID)
-	s.sse.WriteString("\nevent: report\ndata: ")
-	start := s.sse.Len()
-	head := r
-	head.Results = []ResultJSON{}
-	if err := s.enc.Encode(&head); err != nil {
+	// compact JSON, so one line carries it), recording each result's
+	// end as it goes, and the finished event is copied once into the
+	// frame.
+	b := append(s.sse[:0], "id: "...)
+	b = append(b, f.EventID...)
+	b = append(b, "\nevent: report\ndata: "...)
+	start := len(b)
+	b, err := s.enc.appendReport(b, &f.Report, f.ends)
+	s.sse = b
+	if err != nil {
 		return nil, fmt.Errorf("distrib: encode report: %w", err)
 	}
-	// Encode ends each value with '\n'. Strip it and the head's `]}`, so
-	// the buffer ends at `[`.
-	s.sse.Truncate(s.sse.Len() - len(frameTail) - 1)
-	for i := range r.Results {
-		if i > 0 {
-			s.sse.WriteByte(',')
-		}
-		if err := s.enc.Encode(&r.Results[i]); err != nil {
-			return nil, fmt.Errorf("distrib: encode result %d: %w", i, err)
-		}
-		s.sse.Truncate(s.sse.Len() - 1)
-		f.ends[i] = s.sse.Len() - start
-	}
-	s.sse.Write(frameTail)
-	end := s.sse.Len()
-	s.sse.WriteString("\n\n")
-	f.SSE = bytes.Clone(s.sse.Bytes())
+	end := len(b)
+	s.sse = append(b, "\n\n"...)
+	f.SSE = bytes.Clone(s.sse)
 	f.Raw = f.SSE[start:end:end]
 
+	s.v.Store(f)
+	return f, nil
+}
+
+// compress gzips raw through the store's one compressor. Reset rather
+// than rebuilt, it keeps the default level, so the bytes equal a fresh
+// gzip.NewWriter's.
+func (s *Store) compress(raw []byte) ([]byte, error) {
+	s.zmu.Lock()
+	defer s.zmu.Unlock()
+	if s.zw == nil {
+		s.zw = gzip.NewWriter(&s.gz)
+	}
 	s.gz.Reset()
 	s.zw.Reset(&s.gz)
-	if _, err := s.zw.Write(f.Raw); err != nil {
+	if _, err := s.zw.Write(raw); err != nil {
 		return nil, fmt.Errorf("distrib: gzip report: %w", err)
 	}
 	if err := s.zw.Close(); err != nil {
 		return nil, fmt.Errorf("distrib: gzip report: %w", err)
 	}
-	f.Gzip = bytes.Clone(s.gz.Bytes())
-
-	s.v.Store(f)
-	return f, nil
+	s.GzipBuilds.Inc()
+	return bytes.Clone(s.gz.Bytes()), nil
 }
 
 // Frame returns the current frame, or nil before the first Set.

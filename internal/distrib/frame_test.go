@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -131,17 +132,29 @@ func TestFrameGzipRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(f.Gzip))
+	gz, err := f.GzipBody()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := io.ReadAll(zr)
+	plain, err := gunzip(gz)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(plain, f.Raw) {
 		t.Error("gzip variant does not decompress to Raw")
 	}
+	if f.Gzip != nil {
+		t.Error("the deprecated Gzip field is set")
+	}
+}
+
+// gunzip decompresses one gzip stream.
+func gunzip(gz []byte) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(zr)
 }
 
 func TestFrameSSEFraming(t *testing.T) {
@@ -253,7 +266,8 @@ func TestStoreSwap(t *testing.T) {
 }
 
 // gzipFresh compresses raw with a new writer at the default level: the
-// bytes a frame's Gzip must equal although Store.Set recycles its writer.
+// bytes a frame's GzipBody must equal although the store recycles its
+// writer.
 func gzipFresh(t *testing.T, raw []byte) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -283,8 +297,8 @@ func checkWire(t *testing.T, f *Frame, r ReportJSON) {
 	if cap(f.Raw) != len(f.Raw) {
 		t.Errorf("n=%d: cap(Raw) = %d, len %d: an append could write into SSE", n, cap(f.Raw), len(f.Raw))
 	}
-	if !bytes.Equal(f.Gzip, gzipFresh(t, raw)) {
-		t.Errorf("n=%d: Gzip differs from a fresh gzip.NewWriter's output", n)
+	if gz, err := f.GzipBody(); err != nil || !bytes.Equal(gz, gzipFresh(t, raw)) {
+		t.Errorf("n=%d: GzipBody differs from a fresh gzip.NewWriter's output (err %v)", n, err)
 	}
 	if want := fmt.Sprintf("id: %d\nevent: report\ndata: %s\n\n", r.Version, raw); string(f.SSE) != want {
 		t.Errorf("n=%d: SSE = %q, want %q", n, f.SSE, want)
@@ -339,8 +353,8 @@ func TestStoreRecycledWriterWire(t *testing.T) {
 	}
 }
 
-// TestStoreSetConcurrent hammers one Store's shared compressor and
-// scratch buffers from several goroutines; run it under -race. Each
+// TestStoreSetConcurrent hammers one Store's shared encoder, compressor
+// and scratch buffers from several goroutines; run it under -race. Each
 // returned frame must hold its own report, however the calls interleave.
 func TestStoreSetConcurrent(t *testing.T) {
 	const goroutines, sets = 8, 50
@@ -357,12 +371,12 @@ func TestStoreSetConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				zr, err := gzip.NewReader(bytes.NewReader(f.Gzip))
+				gz, err := f.GzipBody()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				plain, err := io.ReadAll(zr)
+				plain, err := gunzip(gz)
 				if err != nil {
 					t.Error(err)
 					return
@@ -380,4 +394,50 @@ func TestStoreSetConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFrameGzipConcurrentReaders asks for the current frame's gzip body
+// from several goroutines while another publishes; run it under -race.
+// Readers compress different frames through the store's one compressor
+// at once, and several race for one frame's first build: every body must
+// gunzip to the Raw of the frame it came from.
+func TestFrameGzipConcurrentReaders(t *testing.T) {
+	const readers, sets = 8, 200
+	var st Store
+	if _, err := st.Set(testReport(0, 1, 5)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stop := false; !stop; {
+				stop = done.Load() // every reader reads at least once
+				f := st.Frame()
+				gz, err := f.GzipBody()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plain, err := gunzip(gz)
+				if err != nil || !bytes.Equal(plain, f.Raw) {
+					t.Errorf("frame v%d: gzip body is not its Raw (err %v)", f.Report.Version, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= sets; i++ {
+		if _, err := st.Set(testReport(uint64(i), int64(i), 1+i%25)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if n := st.GzipBuilds.Load(); n > sets+1 {
+		t.Errorf("%d gzip builds for %d frames", n, sets+1)
+	}
 }

@@ -1,8 +1,9 @@
 // Package server is the HTTP face of the live opportunity service. Every
 // response is a thin read over an immutable distrib.Frame: the scan loop
-// publishes once per block (one JSON marshal, one gzip pass, one SSE
-// framing — in distrib.Store.Set), and readers get the frame by atomic
-// pointer swap and serve with a header compare plus a buffer write. The
+// publishes once per block (one JSON encoding and one SSE framing, in
+// distrib.Store.Set), and readers get the frame by atomic pointer swap
+// and serve with a header compare plus a buffer write. The first reader
+// that asks for gzip compresses the frame, once (Frame.GzipBody). The
 // paper's §VII time budget shapes the design — read traffic ("millions
 // of users") and scan latency are completely decoupled, and the
 // steady-state read path performs zero per-request encoding.
@@ -12,8 +13,9 @@
 //	GET /v1/report   latest ranked report (JSON; 503 until the first scan)
 //	                 ?top=N serves the N most profitable loops as a
 //	                 pre-sliced prefix of the cached encoding; strong
-//	                 ETag/If-None-Match revalidation (304) and cached
-//	                 gzip negotiation on the full report
+//	                 ETag/If-None-Match revalidation (304) and gzip
+//	                 negotiation on the full report, compressed once per
+//	                 frame on first demand
 //	GET /v1/stream   server-sent events; one `report` event per published
 //	                 scan, with the feed version as event id so clients
 //	                 resume via Last-Event-ID. Idle streams carry periodic
@@ -343,6 +345,8 @@ func (s *Server) registerMetrics() {
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reg.Gauge("arbloop_scans_published_total", "", "reports published into the frame store",
 		func() float64 { return float64(s.scans.Load()) })
+	s.reg.Counter("arbloop_frame_gzip_builds_total", "", "frames compressed for a gzip reader, at most once each",
+		&s.store.GzipBuilds)
 	s.reg.Gauge("arbloop_last_scan_seconds", "", "wall latency of the most recently published scan",
 		func() float64 { return float64(s.lastScanNano.Load()) / float64(time.Second) })
 	s.reg.Histogram("arbloop_frame_build_seconds", "", "time to encode one report into its immutable frame", &s.frameBuild)
@@ -538,13 +542,17 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	h.Set("Content-Type", "application/json")
 	if tail == nil && acceptsGzip(r) {
-		// Full report only: the gzip variant is compressed once per
-		// block, prefix slices are served identity-encoded.
-		s.reportGzip.Inc()
-		h.Set("Content-Encoding", "gzip")
-		h.Set("Content-Length", strconv.Itoa(len(f.Gzip)))
-		_, _ = w.Write(f.Gzip)
-		return
+		// Full report only: the first gzip reader of a frame compresses
+		// it, every later one gets the same bytes; prefix slices are
+		// served identity-encoded. A failed compression falls back to
+		// the identity body.
+		if gz, err := f.GzipBody(); err == nil {
+			s.reportGzip.Inc()
+			h.Set("Content-Encoding", "gzip")
+			h.Set("Content-Length", strconv.Itoa(len(gz)))
+			_, _ = w.Write(gz)
+			return
+		}
 	}
 	if tail != nil {
 		s.reportTop.Inc()

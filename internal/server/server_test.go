@@ -532,6 +532,78 @@ func TestReportGzipNegotiation(t *testing.T) {
 	}
 }
 
+// TestFrameGzipOnDemand pins "compressed only on demand, once per
+// frame": plain, 304 and ?top=N reads compress nothing, and two gzip
+// reads of each of 10 of the 50 published frames build 10 bodies, each
+// the bytes a fresh gzip.NewWriter gives.
+func TestFrameGzipOnDemand(t *testing.T) {
+	srv := New()
+	h := srv.Handler()
+	get := func(target, header, value string) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		if header != "" {
+			req.Header.Set(header, value)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+	builds := func() uint64 { return srv.Store().GzipBuilds.Load() }
+	for i := 0; i < 50; i++ {
+		if err := srv.Publish(top20Report(uint64(i+1), int64(i+100)), time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		f := srv.Store().Frame()
+		before := builds()
+		for _, c := range []struct {
+			target, header, value string
+			code                  int
+		}{
+			{"/v1/report", "", "", http.StatusOK},
+			{"/v1/report", "Accept-Encoding", "identity", http.StatusOK},
+			{"/v1/report", "If-None-Match", f.ETag, http.StatusNotModified},
+			{"/v1/report?top=5", "", "", http.StatusOK},
+			{"/v1/report?top=5", "Accept-Encoding", "gzip", http.StatusOK},
+		} {
+			if w := get(c.target, c.header, c.value); w.Code != c.code || w.Header().Get("Content-Encoding") != "" {
+				t.Fatalf("frame %d, %s %s: %q: status %d, Content-Encoding %q", i, c.target, c.header, c.value,
+					w.Code, w.Header().Get("Content-Encoding"))
+			}
+		}
+		if n := builds(); n != before {
+			t.Errorf("frame %d: plain, 304 and top=N reads built %d gzip bodies", i, n-before)
+		}
+		if i%5 != 0 {
+			continue
+		}
+		want := gzipFresh(t, f.Raw)
+		for range 2 {
+			w := get("/v1/report", "Accept-Encoding", "gzip")
+			if w.Header().Get("Content-Encoding") != "gzip" || !bytes.Equal(w.Body.Bytes(), want) {
+				t.Errorf("frame %d: gzip read is not a fresh gzip.NewWriter's compression of Raw", i)
+			}
+		}
+	}
+	if n := builds(); n != 10 {
+		t.Errorf("two gzip reads of each of 10 frames built %d bodies, want 10", n)
+	}
+}
+
+// gzipFresh compresses raw with a new writer at the default level.
+func gzipFresh(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	zw := gzip.NewWriter(&b)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 func TestReportTopParam(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -932,6 +1004,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE arbloop_uptime_seconds gauge",
 		"arbloop_scans_published_total 0",
+		"arbloop_frame_gzip_builds_total 0",
 		"# TYPE arbloop_frame_build_seconds histogram",
 		"# TYPE arbloop_scans_total counter",
 	} {
@@ -968,6 +1041,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"arbloop_frame_build_seconds_count 1",
 		`arbloop_report_requests_total{variant="gzip"} 1`,
 		`arbloop_report_requests_total{variant="plain"} 1`,
+		"arbloop_frame_gzip_builds_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("post-publish metrics missing %q", want)
