@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-go bench-convex bench-delta bench-server bench-telemetry bench-faults chaos fuzz clean
+.PHONY: all build test race vet lint bench bench-convex bench-delta bench-server chaos fuzz clean
 
 all: build vet lint test
 
@@ -26,19 +26,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Regenerate BENCH_scan.json (loops/sec at parallelism 1 vs GOMAXPROCS),
-# and assert a whole-market length-4 Convex scan speeds up at GOMAXPROCS.
+# Whole-market length-4 Convex fan-out: 15 interleaved pairs of serial
+# and parallel scans (BenchmarkScanConvexFanOut), failing unless the
+# fastest parallel scan beats the fastest serial one. Not in CI: on a
+# 2-CPU host the gain is within noise. Every other speed, share and
+# allocation bar is a plain test that `make test` runs.
 bench:
-	BENCH_JSON=1 $(GO) test -run TestWriteScanBenchJSON -count=1 -v .
-
-# Standard Go benchmarks for the scan hot path.
-bench-go:
-	$(GO) test -bench 'BenchmarkScan' -benchmem -run '^$$' .
+	$(GO) test -run '^$$' -bench 'BenchmarkScanConvexFanOut' -benchtime 15x -count=1 .
 
 # Full-vs-delta per-block scan throughput (~10% of pools trading between
 # scans), and one dirty length-4 Convex delta scan serving the top 20 and
 # serving every ranked loop (ns/op and allocs/op of the index path).
-# Quick enough for CI.
+# Quick enough for CI. The delta-beats-full bar is TestDeltaScanBeatsFull.
 bench-delta:
 	$(GO) test -bench 'BenchmarkScan(FullWarm|Delta10pct)' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkScanDeltaConvexLen4' -benchmem -run '^$$' ./internal/scan
@@ -47,27 +46,17 @@ bench-delta:
 # (plain / gzip / 304 / ?top=N) plus the per-block frame build at 200
 # results and at serve's 20, at the handler layer. Tiny run counts keep
 # it CI-cheap; its job is to prove the encode-once frame cache stays
-# engaged on every read.
+# engaged on every read. The cached-read bar is
+# TestCachedReadBeatsPerRequestEncode.
 bench-server:
 	$(GO) test -bench 'BenchmarkServer' -benchtime 100x -benchmem -run '^$$' ./internal/server
-
-# Telemetry guard + overhead: the instrumented steady-state delta scan
-# must hold the 7-alloc budget, and full instrumentation must cost < 2%
-# of scan time (plus per-primitive ns/op costs for the record).
-bench-telemetry:
-	BENCH_JSON=1 $(GO) test -run 'TestTelemetry(ScanAllocs|Bench)' -count=1 -v .
 
 # Convex solver smoke: the exact solve (strategy.Convex) vs the barrier
 # method (convexopt.Minimize) on the problems it stages. Tiny run counts
 # keep it CI-cheap; its job is to prove the exact solve compiles and runs.
+# The exact-beats-barrier bar is TestConvexExactBeatsBarrier.
 bench-convex:
 	$(GO) test -bench 'BenchmarkConvex(Generic|Structured)' -benchtime 20x -benchmem -run '^$$' .
-
-# Fault-layer zero-overhead guard: with chaos injection disabled, the
-# breaker closed, and panic containment armed, the steady-state delta
-# scan must hold the same 7-alloc budget as the bare pipeline.
-bench-faults:
-	$(GO) test -run TestFaultLayerDisabledAllocs -count=1 -v .
 
 # Chaos soak: the full serving pipeline under a seeded fault schedule
 # (injected errors, stalls, latency, corrupt payloads, strategy panics),

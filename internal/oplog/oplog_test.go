@@ -2,9 +2,11 @@ package oplog
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"syscall"
 	"testing"
@@ -515,5 +517,93 @@ func TestReplayStopSentinel(t *testing.T) {
 	}
 	if n != 2 || st.Entries != 2 {
 		t.Fatalf("replay delivered %d entries after ErrStop, want 2", n)
+	}
+}
+
+// discardFile is a segment file that keeps nothing, so an allocation
+// budget counts the log's own work and not the disk's.
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                 { return nil }
+func (discardFile) Close() error                { return nil }
+
+// serveEntry is shaped like the entry serve appends per block on the
+// paper's market at its default -top 20: MaxMax results on length-3
+// loops, each with a start token, an input and net_tokens over the
+// loop's three tokens, and the pools the block's swaps moved. Like
+// serve's, it carries no Warm plans.
+func serveEntry() Entry {
+	r := distrib.ReportJSON{
+		Version: 1, Height: 101, Strategy: "MaxMax", Parallelism: 2,
+		Tokens: 51, Pools: 208, CyclesExamined: 187, LoopsDetected: 123,
+		TopologyCacheHit: true, LoopsReoptimized: 7, LoopsReused: 116, ShardsScanned: 1,
+	}
+	for i := 0; i < 20; i++ {
+		a, b := fmt.Sprintf("TK%d", i+10), fmt.Sprintf("TK%d", i+30)
+		scale := 1 / float64(i+1)
+		r.Results = append(r.Results, distrib.ResultJSON{
+			Index:      3*i + 11,
+			Loop:       "DAI→" + a + "→" + b + "→DAI",
+			Strategy:   "MaxMax",
+			StartToken: b,
+			Input:      2377.75704225721 * scale,
+			ProfitUSD:  292.7956274846285 * scale,
+			NetTokens:  map[string]float64{"DAI": 0, a: 0, b: 68.30966362187883 * scale},
+		})
+	}
+	return Entry{
+		Version:    1,
+		Height:     101,
+		UnixNano:   1_760_000_000_000_000_001,
+		DirtyPools: []string{"pool-0012", "pool-0047", "pool-0105", "pool-0163"},
+		Report:     r,
+	}
+}
+
+// TestOplogWriteAllocBudget pins the syncer's garbage per entry: write
+// encodes a serve-shaped entry (serveEntry) through encoding/json and
+// frames it into the log's reused buffer. The test calls write itself,
+// with SyncEveryN so that no ticker wakes the syncer goroutine, and
+// reads the median over writes: under the race detector sync.Pool drops
+// a quarter of its puts, and the writes that then grow a fresh
+// encoding/json buffer are outliers. Measured on a 2-CPU Xeon host with
+// Go 1.24: 142 allocations and 8.9 kB per entry, 142 and 9.3 kB under
+// -race. Both budgets leave ~2x headroom, as TestPublishAllocBudget
+// does, and an entry encoded twice fails both.
+func TestOplogWriteAllocBudget(t *testing.T) {
+	const runs, byteBudget, allocBudget = 201, 16 << 10, 250
+	l, err := Open(t.TempDir(), Options{
+		Sync:     SyncPolicy{Mode: SyncEveryN, N: 1 << 20},
+		OpenFile: func(string) (File, error) { return discardFile{}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	e := serveEntry()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	l.write(e)                                      // warm-up
+	allocs, bytes := make([]uint64, runs), make([]uint64, runs)
+	var before, after runtime.MemStats
+	for i := range runs {
+		runtime.ReadMemStats(&before)
+		l.write(e)
+		runtime.ReadMemStats(&after)
+		allocs[i], bytes[i] = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	}
+	if st := l.Stats(); st.Written != runs+1 || st.Dropped != 0 || st.Degraded {
+		t.Fatalf("stats after %d writes: %+v", runs+1, st)
+	}
+	slices.Sort(allocs)
+	slices.Sort(bytes)
+	medAllocs, medBytes := allocs[runs/2], bytes[runs/2]
+	t.Logf("oplog write: %d allocs (budget %d), %.1f kB (budget %d kB), median of %d writes",
+		medAllocs, allocBudget, float64(medBytes)/1024, byteBudget>>10, runs)
+	if medBytes > byteBudget {
+		t.Errorf("oplog write allocates %.1f kB per entry, budget %d kB", float64(medBytes)/1024, byteBudget>>10)
+	}
+	if medAllocs > allocBudget {
+		t.Errorf("oplog write allocates %d times per entry, budget %d", medAllocs, allocBudget)
 	}
 }

@@ -7,11 +7,14 @@
 // is the hot loop the paper's §VII runtime table measures. Loops are
 // independent, so it needs no coordination, but with the exact convex
 // solve at about 1 µs per loop the fan-out pays only where per-loop work
-// dominates: a whole-market Convex scan at parallelism 2 against 1 on a
-// 2-CPU Xeon read 0.81–1.17× at loop length 3 (123 loops), 1.01–1.32× at
-// length 4 (755) and 1.17–1.44× at length 5 (5,167), fastest of 15
-// interleaved scans each, over five runs. The delta engine (delta.go)
-// re-optimizes a block's few dirty loops inline.
+// dominates. A whole-market Convex scan at parallelism 2 against 1 on a
+// 2-CPU Xeon read 0.81–1.17× at loop length 3 (123 loops) and 1.17–1.44×
+// at length 5 (5,167), fastest of 15 interleaved scans each, over five
+// runs. At length 4 (755 loops) ten runs of the root package's
+// BenchmarkScanConvexFanOut read 0.92–1.18× fastest to fastest and
+// 0.91–1.58× as the median pair ratio: on that host the gain at length 4
+// is within noise. The delta engine (delta.go) re-optimizes a block's
+// few dirty loops inline.
 //
 // Detection itself is split in two phases. The *topology* phase — cycle
 // enumeration over the token graph — depends only on which pools exist,

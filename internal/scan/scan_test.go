@@ -3,7 +3,10 @@ package scan
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"arbloop/internal/amm"
 	"arbloop/internal/cex"
@@ -105,5 +108,85 @@ func TestRunAllLoopsFailing(t *testing.T) {
 	_, err := Run(context.Background(), paperPools(t), paperPrices(), Config{Strategy: failingStrategy{}})
 	if err == nil {
 		t.Error("systemic per-loop failure not surfaced")
+	}
+}
+
+// peakStrategy runs MaxMax and records the most Optimize calls in
+// flight at once. Until want calls are in flight together, each call
+// waits for its peers, for at most peerWait: a fan-out that runs fewer
+// workers than it should then fails in bounded time instead of hanging,
+// and once one wait has timed out no later call waits.
+type peakStrategy struct {
+	want     int
+	met      chan struct{}
+	metOnce  sync.Once
+	mu       sync.Mutex
+	inFlight int
+	peak     int
+}
+
+const peerWait = 5 * time.Second
+
+func (p *peakStrategy) Name() string { return "Peak" }
+
+func (p *peakStrategy) Optimize(ctx context.Context, l *strategy.Loop, pm strategy.PriceMap) (strategy.Result, error) {
+	p.mu.Lock()
+	p.inFlight++
+	p.peak = max(p.peak, p.inFlight)
+	if p.inFlight >= p.want {
+		p.metOnce.Do(func() { close(p.met) })
+	}
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.inFlight--
+		p.mu.Unlock()
+	}()
+	select {
+	case <-p.met:
+	case <-time.After(peerWait):
+		p.metOnce.Do(func() { close(p.met) })
+	}
+	return strategy.MaxMaxStrategy{}.Optimize(ctx, l, pm)
+}
+
+// TestFanOutPeaksAtParallelism checks that a full scan optimizes exactly
+// min(parallelism, loops) loops at once, through Run and through Stream,
+// at any GOMAXPROCS. On a small host a wall-clock speedup cannot show
+// that the fan-out runs; a count of calls in flight can.
+func TestFanOutPeaksAtParallelism(t *testing.T) {
+	ctx := context.Background()
+	pools, fetched := deltaMarket(t)
+	prices := cex.NewStatic(fetched)
+	rep, err := Run(ctx, pools, prices, Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := rep.LoopsDetected
+	if loops < 4 {
+		t.Fatalf("%d loops detected, want at least 4", loops)
+	}
+	for _, p := range []int{1, 2, 4} {
+		for _, path := range []string{"Run", "Stream"} {
+			t.Run(fmt.Sprintf("%s/parallelism%d", path, p), func(t *testing.T) {
+				want := min(p, loops)
+				s := &peakStrategy{want: want, met: make(chan struct{})}
+				cfg := Config{Strategy: s, Parallelism: p}
+				if path == "Run" {
+					if _, err := Run(ctx, pools, prices, cfg); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for r := range Stream(ctx, pools, prices, cfg) {
+						if r.Err != nil {
+							t.Fatal(r.Err)
+						}
+					}
+				}
+				if s.peak != want {
+					t.Errorf("%d Optimize calls in flight at most, want %d", s.peak, want)
+				}
+			})
+		}
 	}
 }

@@ -91,3 +91,14 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 		t.Errorf("mean = %v, want ~11µs", m)
 	}
 }
+
+// BenchmarkHistogramObserve prices one latency observation (a 2-CPU Xeon
+// reads ~15 ns).
+func BenchmarkHistogramObserve(b *testing.B) {
+	var h Histogram
+	d := time.Duration(0)
+	for b.Loop() {
+		h.Observe(d)
+		d += 37
+	}
+}
