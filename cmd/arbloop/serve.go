@@ -45,7 +45,6 @@ func cmdServe(args []string) error {
 	loopLen := fs.Int("len", 3, "loop length")
 	strategyName := fs.String("strategy", arbloop.StrategyMaxMax,
 		"per-loop strategy: "+strings.Join(arbloop.StrategyNames(), ", "))
-	parallel := fs.Int("parallel", 0, "goroutines a full scan optimizes on (0 = GOMAXPROCS); delta scans run inline")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address (empty = off)")
 	mutexProfile := fs.Int("mutex-profile", 0,
 		"mutex contention profiling: sample 1/n of contended lock events (0 = off); read via -pprof's /debug/pprof/mutex")
@@ -115,7 +114,6 @@ func cmdServe(args []string) error {
 	sc, err := arbloop.NewScanner(src, breaker,
 		arbloop.WithLoopLengths(*loopLen, *loopLen),
 		arbloop.WithStrategyName(*strategyName),
-		arbloop.WithParallelism(*parallel),
 		arbloop.WithMinProfitUSD(*minProfit),
 		arbloop.WithMaxCycles(*maxCycles),
 		arbloop.WithTopK(*top),

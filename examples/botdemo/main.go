@@ -55,7 +55,6 @@ func run() error {
 	}
 	engine, err := bot.New(state, cex.NewStatic(prices), bot.Config{
 		Strategy:              arbloop.MaxMaxStrategy{},
-		Parallelism:           4,
 		MaxExecutionsPerBlock: 3,
 		MinProfitUSD:          0.05,
 	})

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"runtime"
 	"sort"
 
 	"arbloop/internal/amm"
@@ -42,11 +41,6 @@ type Config struct {
 	// the paper's trade-off is MaxMax (fast) vs ConvexStrategy (heavier,
 	// provably ≥ MaxMax).
 	Strategy strategy.Strategy
-	// Parallelism bounds how many goroutines a full scan — the first
-	// block's, or one after the pool set changed — optimizes loops on
-	// (default GOMAXPROCS, resolved once at New). Later blocks re-optimize
-	// their few dirty loops inline.
-	Parallelism int
 	// MinProfitUSD skips plans predicted below this (default 0.01$ —
 	// dust plans lose to integer rounding).
 	MinProfitUSD float64
@@ -70,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Strategy == nil {
 		c.Strategy = strategy.MaxMaxStrategy{}
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.MinProfitUSD <= 0 {
 		c.MinProfitUSD = 0.01
@@ -157,7 +148,6 @@ func New(state *chain.State, oracle cex.Oracle, cfg Config) (*Bot, error) {
 			MinLen:       cfg.LoopLen,
 			MaxLen:       cfg.LoopLen,
 			Strategy:     cfg.Strategy,
-			Parallelism:  cfg.Parallelism,
 			MinProfitUSD: cfg.MinProfitUSD,
 			Cache:        scan.NewCache(0),
 		}),

@@ -79,14 +79,14 @@ func TestStreamContainsStrategyPanic(t *testing.T) {
 	}
 }
 
-// The delta path funnels warm-started re-optimization through the same
-// recovery (regression under -race: panics fire on pooled workers).
+// The delta path, its capture included, funnels re-optimization through
+// the same recovery.
 func TestRunDeltaContainsStrategyPanic(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	m := NewMetrics()
 	s := &panickyStrategy{inner: strategy.MaxMaxStrategy{}, every: 4}
-	st := NewDelta(Config{Strategy: s, Metrics: m, Parallelism: 4})
+	st := NewDelta(Config{Strategy: s, Metrics: m})
 	if _, err := st.Scan(context.Background(), pools, nil, src); err != nil {
 		t.Fatalf("capture: %v", err)
 	}

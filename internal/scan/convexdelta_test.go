@@ -58,6 +58,7 @@ func loopKey(l *strategy.Loop) string {
 // random dirty subsets and asserts (a) delta reports are identical to
 // full scans of the same state, and (b) each delta scan calls Optimize
 // exactly once for each of its LoopsReoptimized loops and for no other.
+// Two passes, each from its own capture, continue one random stream.
 // Runs under -race in CI, covering concurrent solves sharing the
 // workspace pool.
 func TestRunDeltaConvexEquivalence(t *testing.T) {
@@ -66,12 +67,9 @@ func TestRunDeltaConvexEquivalence(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(97))
 
-	for _, cfg := range []Config{
-		{Parallelism: 1},
-		{Parallelism: 4},
-	} {
+	for pass := range 2 {
 		recording := &recordingStrategy{inner: strategy.ConvexStrategy{}}
-		cfg.Strategy = recording
+		cfg := Config{Strategy: recording}
 		st := NewDelta(cfg)
 		state := pools
 		capture, err := st.Scan(ctx, state, nil, src)
@@ -79,7 +77,7 @@ func TestRunDeltaConvexEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := len(recording.take()); got != capture.LoopsDetected {
-			t.Errorf("parallelism=%d: capture optimized %d loops, detected %d", cfg.Parallelism, got, capture.LoopsDetected)
+			t.Errorf("pass %d: capture optimized %d loops, detected %d", pass, got, capture.LoopsDetected)
 		}
 		for round := 0; round < 4; round++ {
 			state = perturb(t, rng, state, 1+rng.Intn(8))
@@ -90,8 +88,8 @@ func TestRunDeltaConvexEquivalence(t *testing.T) {
 			calls := recording.take()
 			distinct := len(slices.Compact(slices.Clone(calls)))
 			if len(calls) != delta.LoopsReoptimized || distinct != len(calls) {
-				t.Errorf("parallelism=%d round %d: %d Optimize calls on %d distinct loops, LoopsReoptimized %d",
-					cfg.Parallelism, round, len(calls), distinct, delta.LoopsReoptimized)
+				t.Errorf("pass %d round %d: %d Optimize calls on %d distinct loops, LoopsReoptimized %d",
+					pass, round, len(calls), distinct, delta.LoopsReoptimized)
 			}
 			full, err := Run(ctx, rebuild(t, state), src, cfg)
 			if err != nil {
@@ -100,7 +98,7 @@ func TestRunDeltaConvexEquivalence(t *testing.T) {
 			recording.take()
 			requireSameReport(t, delta, full)
 			if delta.LoopsReused == 0 {
-				t.Errorf("parallelism=%d round %d: delta path never reused a loop", cfg.Parallelism, round)
+				t.Errorf("pass %d round %d: delta path never reused a loop", pass, round)
 			}
 		}
 	}

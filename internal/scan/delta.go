@@ -26,9 +26,9 @@
 // a Result (strategy.Materialize), built from the stored plan without
 // solving again and cached until the loop re-optimizes. Any other
 // strategy is adapted through Optimize on a freshly built Loop, and its
-// Result is kept as the loop's served form. Run, Stream and the capture
-// keep calling Optimize, so the delta = full tests cross-check the two
-// paths bit for bit.
+// Result is kept as the loop's served form. Run and Stream keep calling
+// Optimize, so the delta = full tests cross-check the two paths bit for
+// bit, the capture included.
 //
 // The engine keeps one captured state (state.go): each cycle's
 // orientation and outcome, the plans, the served forms and the reserves
@@ -38,8 +38,9 @@
 // re-optimizes the affected cycles inline, in one strategy.Workspace:
 // with the exact convex solve at about 1 µs per loop a dirty scan is tens
 // of microseconds of math, which a per-block fan-out over goroutines did
-// not speed up (ROADMAP item 4). Full scans — the capture among them —
-// keep their fan-out (Config.Parallelism).
+// not speed up (ROADMAP item 4). A capture is the same scan from an
+// empty state, every pool dirty, so it re-optimizes every loop inline
+// too; only Run and Stream fan out (Config.Parallelism).
 //
 // The per-block path is also on an allocation diet: the topology check
 // compares pool metadata field-by-field instead of hashing a
@@ -58,8 +59,8 @@
 // exactly the loops it touches. A Delta is bound at construction to one
 // resolved config, so its strategy and loop bounds cannot change under a
 // captured baseline: the previous state is unusable only on the first
-// scan or after a topology change, and then Scan transparently falls
-// back to a full scan and captures fresh state.
+// scan or after a topology change, and then Scan captures fresh state,
+// scanning from an empty one.
 package scan
 
 import (
@@ -70,6 +71,7 @@ import (
 	"time"
 
 	"arbloop/internal/amm"
+	"arbloop/internal/graph"
 	"arbloop/internal/source"
 	"arbloop/internal/strategy"
 )
@@ -77,8 +79,8 @@ import (
 // Delta is the delta engine: one scanner's memory between scans — the
 // topology it scanned, the prices it scanned at, and the captured state
 // (per-cycle outcomes and the reserves they were computed from) — bound
-// to the config NewDelta resolved. The first Scan is a full scan that
-// populates it. Safe for concurrent use: the mutex guards only the
+// to the config NewDelta resolved. The first Scan captures it, scanning
+// from an empty state. Safe for concurrent use: the mutex guards only the
 // in-memory baseline snapshot, the scratch-arena checkout, and commit —
 // never the price fetch or the optimization, so a slow scan (hung
 // PriceSource, heavy strategy) cannot stall other scans on the same
@@ -107,9 +109,8 @@ type Delta struct {
 }
 
 // NewDelta builds a delta engine bound to cfg, resolving its defaults
-// once: Parallelism, which bounds the capture's fan-out, takes the
-// GOMAXPROCS of this call, and a later GOMAXPROCS change neither resizes
-// it nor forces a full scan.
+// once. It scans inline and only echoes Parallelism, by default the
+// GOMAXPROCS of this call, in Report.Parallelism.
 func NewDelta(cfg Config) *Delta {
 	d := &Delta{cfg: cfg.Resolve()}
 	d.kernel, _ = d.cfg.Strategy.(strategy.Kernel)
@@ -321,8 +322,10 @@ func (s *scratch) read(base *baseline) *deltaState {
 // never trusted to narrow it, so a stale or incomplete hint — coalesced
 // feed updates, a skipped version — cannot produce a wrong report.
 //
-// Scan falls back to a full scan (capturing fresh state) whenever the
-// engine has no usable baseline: the first scan, or a changed topology.
+// Without a usable baseline — the first scan, or a changed topology —
+// Scan captures: the same scan from an empty baseline (see empty), every
+// pool dirty and no price known, so every loop re-optimizes. A capture
+// counts as a full scan.
 //
 // Scan is the steady-state per-block path, pinned to a ~7-alloc
 // budget (TestDeltaScanAllocBudget, TestTelemetryScanAllocs). Every
@@ -339,51 +342,69 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 
 	base, ok, scr := d.begin()
 	defer d.end(scr)
-	if !ok || !base.usable(pools) {
-		d.bump(true)
-		scr.spare = nil // sized for the topology being replaced
-		return d.capture(ctx, pools, prices)
-	}
-	d.bump(false)
+	full := !ok || !base.usable(pools)
+	d.bump(full)
 	m := d.cfg.Metrics
 	var start, t time.Time
 	timed := false
 	if m != nil {
-		m.DeltaScans.Inc()
+		if full {
+			m.FullScans.Inc()
+		} else {
+			m.DeltaScans.Inc()
+		}
 		// One clock read per scan keeps the dirtiness EMA gap exact; the
-		// per-stage boundary reads below are sampled (see StageSample).
-		timed = m.timedScan()
+		// per-stage boundary reads below are taken on every capture and
+		// sampled on delta scans (see StageSample).
+		timed = full || m.timedScan()
 		start = time.Now()
 		t = start
 	}
 
-	top := base.top
-	g, err := top.skel.Rebind(pools)
+	var (
+		g   *graph.Graph
+		hit = true
+		err error
+	)
+	if full {
+		g, hit, err = d.empty(&base, scr, pools)
+	} else {
+		g, err = base.top.skel.Rebind(pools)
+	}
 	if err != nil {
 		return Report{}, err
 	}
+	top := base.top
 
 	scr.reset(len(pools), len(top.cycles))
 
-	// Dirty pools: the reserve diff against the captured baseline is
-	// authoritative; the hint can only widen it.
+	// Dirty pools: a capture has no reserves to diff against, so every
+	// pool is dirty. Otherwise the reserve diff against the captured
+	// baseline is authoritative; the hint can only widen it.
 	dirtyPools := 0
-	captured := base.state.reserves
-	for i, p := range pools {
-		if p.Reserve0 != captured[i][0] || p.Reserve1 != captured[i][1] {
+	if full {
+		for i := range scr.dirtyPool {
 			scr.dirtyPool[i] = true
-			dirtyPools++
 		}
-	}
-	for _, id := range hint {
-		if i, ok := top.poolIndex[id]; ok && !scr.dirtyPool[i] {
-			scr.dirtyPool[i] = true
-			dirtyPools++
+		dirtyPools = len(pools)
+	} else {
+		captured := base.state.reserves
+		for i, p := range pools {
+			if p.Reserve0 != captured[i][0] || p.Reserve1 != captured[i][1] {
+				scr.dirtyPool[i] = true
+				dirtyPools++
+			}
 		}
-	}
-	if m != nil {
-		m.DirtyPools.Add(uint64(dirtyPools))
-		m.observeDirtiness(scr.dirtyPool, dirtyPools, start)
+		for _, id := range hint {
+			if i, ok := top.poolIndex[id]; ok && !scr.dirtyPool[i] {
+				scr.dirtyPool[i] = true
+				dirtyPools++
+			}
+		}
+		if m != nil {
+			m.DirtyPools.Add(uint64(dirtyPools))
+			m.observeDirtiness(scr.dirtyPool, dirtyPools, start)
+		}
 	}
 
 	// Re-orient every cycle routing through a dirty pool (its price
@@ -483,7 +504,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		}
 	}
 	// The state was rescanned exactly when a loop re-oriented or
-	// re-optimized, which is when the scan first wrote it.
+	// re-optimized, which is when the scan first wrote it (a capture
+	// writes from the start, even on a market without a cycle).
 	scanned := 0
 	if scr.next != nil {
 		scanned = 1
@@ -517,7 +539,7 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		return Report{}, systemicError(strategy.LoopFromHops(pools, top.hops(ci, first.orient), top.tokens), first.err)
 	}
 	// The detection view lives in the scratch arena, not on the heap.
-	scr.det = detection{graph: g, top: top, cacheHit: true, degraded: degraded}
+	scr.det = detection{graph: g, top: top, cacheHit: hit, degraded: degraded}
 	rep, ranked := scr.det.report(d.cfg, ranked, loops, failed, len(scr.jobs), loops-len(scr.jobs))
 	for j, k := range ranked {
 		ci := scr.loopCycle[k.index]
@@ -532,7 +554,8 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 	// Commit the new baseline only after a fully successful scan, so a
 	// failed pass leaves the previous (still self-consistent) state for
 	// the next diff. A no-op scan (nothing dirty, no price moved)
-	// commits nothing — the baseline is already exact.
+	// commits nothing — the baseline is already exact. A capture always
+	// commits: every pool is dirty.
 	if dirtyPools > 0 || priceMoved {
 		st = scr.write(&base)
 		for i, p := range pools {
@@ -541,9 +564,12 @@ func (d *Delta) Scan(ctx context.Context, pools []*amm.Pool, hint []string, pric
 		next := base
 		next.prices, next.state = pm, st
 		if d.commitBase(next, scanned) {
-			scr.spare = base.state
+			scr.spare = base.state // nil after a capture
 		}
 		scr.next = nil // the baseline's now
+	}
+	if full && m != nil {
+		m.capture(pools)
 	}
 	if timed {
 		now := time.Now()
@@ -616,64 +642,28 @@ func (d *Delta) served(scr *scratch, st *deltaState, top *topology, pools []*amm
 	return sf, nil
 }
 
-// capture is the full-scan fallback: one complete detection +
-// optimization pass, fanned out over Config.Parallelism, that also
-// captures the state the next delta scan starts from. pools must be
-// canonical.
-func (d *Delta) capture(ctx context.Context, pools []*amm.Pool, prices source.PriceSource) (Report, error) {
-	m := d.cfg.Metrics
-	var start, t time.Time
-	if m != nil {
-		start = time.Now()
-		m.FullScans.Inc()
-	}
-	det, err := detect(ctx, pools, prices, d.cfg)
+// empty makes base the baseline a capture scans from: the topology of
+// pools, enumerated through the engine's cache (hit reports a cache
+// hit), the pools' metadata, no prices and no state. In place of a copy
+// of a committed state the capture writes a zeroed one, its plan slab
+// sized when the strategy has a kernel; the spare, sized for the
+// topology being replaced, is dropped. pools must be canonical.
+func (d *Delta) empty(base *baseline, scr *scratch, pools []*amm.Pool) (*graph.Graph, bool, error) {
+	g, top, hit, err := enumerateTopology(pools, d.cfg)
 	if err != nil {
-		return Report{}, err
-	}
-	if m != nil {
-		t = time.Now()
-	}
-	all := collectAll(ctx, det, d.cfg)
-	if err := ctx.Err(); err != nil {
-		return Report{}, err
-	}
-	if m != nil {
-		now := time.Now()
-		m.StageOptimize.Observe(now.Sub(t))
-		m.LoopsReoptimized.Add(uint64(len(det.loops)))
-		t = now
-	}
-	var keys []rankKey
-	rep, err := assembleReport(det, d.cfg, all, &keys, len(det.loops), 0)
-	if err != nil {
-		return Report{}, err
-	}
-
-	loopCycle := make([]int, len(det.loops))
-	for ci, li := range det.loopOf {
-		if li >= 0 {
-			loopCycle[li] = ci
-		}
+		return nil, false, err
 	}
 	meta := make([]poolMeta, len(pools))
 	for i, p := range pools {
 		meta[i] = poolMeta{id: p.ID, token0: p.Token0, token1: p.Token1, fee: p.Fee}
 	}
-	d.commitBase(baseline{
-		top:    det.top,
-		meta:   meta,
-		prices: det.prices,
-		state:  captureState(det.top, pools, det.orient, loopCycle, all, d.kernel != nil),
-	}, 1)
-	rep.ShardsScanned = 1
-	if m != nil {
-		m.capture(pools)
-		now := time.Now()
-		m.StageCommit.Observe(now.Sub(t))
-		m.ScanTotal.Observe(now.Sub(start))
+	*base = baseline{top: top, meta: meta}
+	plans := 0
+	if d.kernel != nil {
+		plans = int(top.planOff[len(top.cycles)])
 	}
-	return rep, nil
+	scr.next, scr.spare = newDeltaState(len(top.cycles), plans, len(pools)), nil
+	return g, hit, nil
 }
 
 // commitBase replaces the captured baseline with a freshly built one

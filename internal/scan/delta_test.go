@@ -110,6 +110,37 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
+// requireConcurrentScansMatchFull scans every state on st from scanners
+// goroutines, goroutine g taking states g, g+scanners, …, and requires
+// each report to equal a full scan of its own state under cfg.
+func requireConcurrentScansMatchFull(t *testing.T, st *Delta, cfg Config, src source.PriceSource, states [][]*amm.Pool, scanners int) {
+	t.Helper()
+	ctx := context.Background()
+	reps := make([]Report, len(states))
+	errs := make([]error, len(states))
+	var wg sync.WaitGroup
+	for g := 0; g < scanners; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(states); i += scanners {
+				reps[i], errs[i] = st.Scan(ctx, states[i], nil, src)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range states {
+		if errs[i] != nil {
+			t.Fatalf("%s state %d: %v", cfg.Strategy.Name(), i, errs[i])
+		}
+		full, err := Run(ctx, rebuild(t, states[i]), src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameReport(t, reps[i], full)
+	}
+}
+
 func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
@@ -134,12 +165,44 @@ func TestRunDeltaFirstScanIsFullCapture(t *testing.T) {
 	}
 }
 
+// TestRunDeltaCapturesMarketWithoutCycle: a capture commits its state
+// even when the market has no cycle, so the next scan of the same
+// topology is a delta scan, not another capture.
+func TestRunDeltaCapturesMarketWithoutCycle(t *testing.T) {
+	pools := []*amm.Pool{
+		amm.MustNewPool("ab", "A", "B", 1_000, 2_000, amm.DefaultFee),
+		amm.MustNewPool("bc", "B", "C", 3_000, 1_000, amm.DefaultFee),
+	}
+	src := cex.NewStatic(map[string]float64{"A": 1, "B": 2, "C": 3})
+	ctx := context.Background()
+	st := NewDelta(Config{})
+	capture, err := st.Scan(ctx, pools, nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Run(ctx, rebuild(t, pools), src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameReport(t, capture, full)
+	if capture.LoopsDetected != 0 || capture.ShardsScanned != 1 {
+		t.Errorf("capture detected %d loops, scanned %d states; want 0 and 1", capture.LoopsDetected, capture.ShardsScanned)
+	}
+	next, err := st.Scan(ctx, rebuild(t, pools), nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.FullScans != 1 || s.DeltaScans != 1 || s.Shards != 1 || next.ShardsScanned != 0 {
+		t.Errorf("stats = %+v, second scan scanned %d states; want 1 capture, 1 delta scan of nothing", s, next.ShardsScanned)
+	}
+}
+
 // TestRunDeltaEquivalenceRandomDirty is the core property test: for
 // every registered strategy, at loop length 3 and at lengths 3–4, with
-// and without MinProfitUSD and TopK, over rounds of random ≤10% dirty
-// subsets, the delta report must be identical to a fresh full scan of
-// the same state, plans included, while re-optimizing only the affected
-// loops.
+// and without MinProfitUSD and TopK, the capture and then, over rounds
+// of random ≤10% dirty subsets, every delta report must be identical to
+// a fresh full scan of the same state, plans included. The capture
+// re-optimizes every loop; a delta scan only the affected ones.
 func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
@@ -155,8 +218,18 @@ func TestRunDeltaEquivalenceRandomDirty(t *testing.T) {
 		} {
 			rng := rand.New(rand.NewSource(7))
 			st := NewDelta(cfg)
-			if _, err := st.Scan(ctx, pools, nil, src); err != nil {
+			capture, err := st.Scan(ctx, pools, nil, src)
+			if err != nil {
 				t.Fatal(err)
+			}
+			full, err := Run(ctx, rebuild(t, pools), src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameReport(t, capture, full)
+			if capture.LoopsReoptimized != capture.LoopsDetected || capture.LoopsReused != 0 || capture.ShardsScanned != 1 {
+				t.Fatalf("%s %+v: capture re-optimized %d of %d loops, reused %d, scanned %d states; want all, 0 and 1",
+					name, cfg, capture.LoopsReoptimized, capture.LoopsDetected, capture.LoopsReused, capture.ShardsScanned)
 			}
 			state := pools
 			sawPartial := false
@@ -427,33 +500,48 @@ func TestDeltaConcurrentScansMatchFull(t *testing.T) {
 		if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 			t.Fatal(err)
 		}
-
-		reps := make([]Report, states)
-		errs := make([]error, states)
-		var wg sync.WaitGroup
-		for g := 0; g < scanners; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := g; i < states; i += scanners {
-					reps[i], errs[i] = st.Scan(ctx, state[i], nil, src)
-				}
-			}()
-		}
-		wg.Wait()
-
-		for i := range state {
-			if errs[i] != nil {
-				t.Fatalf("%s state %d: %v", cfg.Strategy.Name(), i, errs[i])
-			}
-			full, err := Run(ctx, rebuild(t, state[i]), src, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameReport(t, reps[i], full)
-		}
+		requireConcurrentScansMatchFull(t, st, cfg, src, state, scanners)
 		if s := st.Stats(); s.FullScans != 1 || s.DeltaScans != states {
 			t.Errorf("%s: stats = %+v, want 1 capture and %d delta scans", cfg.Strategy.Name(), s, states)
 		}
+	}
+}
+
+// TestDeltaConcurrentCapturesMatchFull: scanners sharing one fresh
+// engine capture concurrently. The topology switches every three states
+// between the §VI market and the market plus one pool, so scans keep
+// finding no usable baseline while others commit theirs: captures race
+// each other and delta scans for the scratch arena and the commit. Every
+// report must still equal a full scan of its own state.
+func TestDeltaConcurrentCapturesMatchFull(t *testing.T) {
+	pools, prices := deltaMarket(t)
+	src := cex.NewStatic(prices)
+	const scanners, states = 4, 40
+
+	for _, tc := range []struct {
+		cfg  Config
+		seed int64
+	}{
+		{Config{Strategy: strategy.MaxMaxStrategy{}, TopK: 20}, 48},
+		{Config{Strategy: strategy.ConvexStrategy{}, MinLen: 4, MaxLen: 4, TopK: 20}, 49},
+	} {
+		cfg := tc.cfg
+		rng := rand.New(rand.NewSource(tc.seed))
+		state := make([][]*amm.Pool, states)
+		for i := range state {
+			state[i] = perturb(t, rng, pools, 1+rng.Intn(len(pools)/10))
+			if i/3%2 == 1 {
+				state[i] = append(state[i], amm.MustNewPool("zz-new", "WETH", "USDC", 500, 900_000, amm.DefaultFee))
+			}
+		}
+		st := NewDelta(cfg)
+		requireConcurrentScansMatchFull(t, st, cfg, src, state, scanners)
+		// Both topologies are scanned, so at least one scan of each
+		// captures.
+		s := st.Stats()
+		if s.FullScans < 2 || s.FullScans+s.DeltaScans != states {
+			t.Errorf("%s: stats = %+v, want at least 2 captures of %d scans", cfg.Strategy.Name(), s, states)
+		}
+		t.Logf("%s: %d of %d scans captured", cfg.Strategy.Name(), s.FullScans, states)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"maps"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"arbloop/internal/amm"
@@ -392,28 +391,6 @@ func TestDeltaConcurrentServedFormsMatchFull(t *testing.T) {
 		if _, err := st.Scan(ctx, pools, nil, src); err != nil {
 			t.Fatal(err)
 		}
-		reps := make([]Report, states)
-		errs := make([]error, states)
-		var wg sync.WaitGroup
-		for g := 0; g < scanners; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := g; i < states; i += scanners {
-					reps[i], errs[i] = st.Scan(ctx, state[i], nil, src)
-				}
-			}()
-		}
-		wg.Wait()
-		for i := range state {
-			if errs[i] != nil {
-				t.Fatalf("%s state %d: %v", cfg.Strategy.Name(), i, errs[i])
-			}
-			full, err := Run(ctx, rebuild(t, state[i]), src, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameReport(t, reps[i], full)
-		}
+		requireConcurrentScansMatchFull(t, st, cfg, src, state, scanners)
 	}
 }

@@ -13,8 +13,9 @@
 // runs. At length 4 (755 loops) ten runs of the root package's
 // BenchmarkScanConvexFanOut read 0.92–1.18× fastest to fastest and
 // 0.91–1.58× as the median pair ratio: on that host the gain at length 4
-// is within noise. The delta engine (delta.go) re-optimizes a block's
-// few dirty loops inline.
+// is within noise. The delta engine (delta.go) does not fan out: it
+// re-optimizes a block's few dirty loops inline, and its capture, a scan
+// from an empty state, every loop inline.
 //
 // Detection itself is split in two phases. The *topology* phase — cycle
 // enumeration over the token graph — depends only on which pools exist,
@@ -75,9 +76,9 @@ type Config struct {
 	MinLen, MaxLen int
 	// Strategy is the per-loop optimizer (default MaxMaxStrategy).
 	Strategy strategy.Strategy
-	// Parallelism bounds how many goroutines a full scan (Run, Stream, a
-	// Delta's capture) optimizes loops on (default GOMAXPROCS when
-	// resolved). A delta scan re-optimizes its dirty loops inline.
+	// Parallelism bounds how many goroutines Run and Stream optimize
+	// loops on (default GOMAXPROCS when resolved). A Delta scans inline,
+	// its capture included, and only echoes it in Report.Parallelism.
 	Parallelism int
 	// MinProfitUSD drops results predicted below this (default 0: keep all
 	// non-negative results).
@@ -155,7 +156,8 @@ type Report struct {
 	// Strategy is the name of the optimizer that ran.
 	Strategy string
 	// Parallelism is the resolved Config.Parallelism: the fan-out width
-	// of a full scan.
+	// of Run and Stream. A Delta, which does not fan out, reports the
+	// value NewDelta resolved.
 	Parallelism int
 	// Tokens and Pools count the scanned graph.
 	Tokens, Pools int
@@ -196,13 +198,14 @@ type Report struct {
 	Results []Result
 }
 
-// detection is the sequential front half of a scan, shared by Run,
-// Stream, and the delta engine's full-capture fallback.
+// detection is the sequential front half of Run and Stream: the graph,
+// the topology, a Loop per detected loop and the prices. The delta
+// engine fills only its report-assembly fields (graph, top, cacheHit,
+// degraded).
 type detection struct {
 	graph    *graph.Graph
 	top      *topology
 	loops    []*strategy.Loop
-	orient   []int8  // per cycle: orientNone / orientForward / orientReverse
 	loopOf   []int32 // per cycle: loop index, or -1 when not profitable
 	prices   strategy.PriceMap
 	cacheHit bool
@@ -224,8 +227,9 @@ const (
 // already enumerated a pool set with the same fingerprint and bounds —
 // and the cached graph skeleton is rebound to the fresh reserves instead
 // of rebuilt, so a warm scan never pays graph construction either.
-// pools must already be canonical (Run and Stream canonicalize at entry),
-// so cached pool and node indices line up across scans.
+// pools must already be canonical (Run, Stream and Delta.Scan
+// canonicalize at entry), so cached pool and node indices line up across
+// scans.
 func enumerateTopology(pools []*amm.Pool, cfg Config) (*graph.Graph, *topology, bool, error) {
 	var key string
 	if cfg.Cache != nil {
@@ -281,13 +285,11 @@ func detect(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, c
 	d := &detection{
 		graph:    g,
 		top:      top,
-		orient:   make([]int8, len(cs)),
 		loopOf:   make([]int32, len(cs)),
 		cacheHit: hit,
 	}
 	for ci := range cs {
 		o := top.orient(pools, ci)
-		d.orient[ci] = o
 		d.loopOf[ci] = -1
 		if o == orientNone {
 			continue
@@ -619,7 +621,8 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 	if m != nil {
 		t = time.Now()
 	}
-	all := collectAll(ctx, d, cfg)
+	all := make([]Result, len(d.loops))
+	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), all, cfg)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -633,14 +636,6 @@ func Run(ctx context.Context, pools []*amm.Pool, prices source.PriceSource, cfg 
 		m.ScanTotal.Observe(time.Since(start))
 	}
 	return rep, err
-}
-
-// collectAll runs the optimization fan-out over every detected loop and
-// returns the complete result set indexed by loop.
-func collectAll(ctx context.Context, d *detection, cfg Config) []Result {
-	all := make([]Result, len(d.loops))
-	optimizeInto(ctx, d.loops, d.prices, allJobs(len(d.loops)), all, cfg)
-	return all
 }
 
 // Stream scans the pool set and delivers per-loop results as they are

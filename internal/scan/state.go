@@ -3,7 +3,6 @@ package scan
 import (
 	"sync/atomic"
 
-	"arbloop/internal/amm"
 	"arbloop/internal/strategy"
 )
 
@@ -64,35 +63,4 @@ func copyState(dst, st *deltaState) *deltaState {
 func (st *deltaState) plan(top *topology, ci int) []float64 {
 	lo, hi := top.planOff[ci], top.planOff[ci+1]
 	return st.plans[lo:hi:hi]
-}
-
-// captureState lays a full scan's per-cycle outcomes out as a state.
-// orient is indexed by cycle; loopCycle maps loop index → cycle; all
-// holds the optimization outcome per loop. A built-in strategy's results
-// seed the plans; any other strategy's are kept as served forms.
-func captureState(top *topology, pools []*amm.Pool, orient []int8, loopCycle []int, all []Result, kernel bool) *deltaState {
-	plans := 0
-	if kernel {
-		plans = int(top.planOff[len(top.cycles)])
-	}
-	st := newDeltaState(len(top.cycles), plans, len(pools))
-	for ci, o := range orient {
-		st.entries[ci].orient = o
-	}
-	for li, ci := range loopCycle {
-		r := &all[li]
-		e := &st.entries[ci]
-		e.profit, e.err = r.Result.Monetized, r.Err
-		switch {
-		case r.Err != nil:
-		case kernel:
-			e.start = int32(strategy.StorePlan(r.Loop, r.Result, st.plan(top, ci)))
-		default:
-			st.served[ci].Store(&strategy.Served{Loop: r.Loop, Result: r.Result})
-		}
-	}
-	for i, p := range pools {
-		st.reserves[i] = [2]float64{p.Reserve0, p.Reserve1}
-	}
-	return st
 }

@@ -10,26 +10,26 @@ import (
 	"arbloop/internal/strategy"
 )
 
-// TestRunDeltaShardedEquivalence is the acceptance property test over
+// TestRunDeltaStateEquivalence is the acceptance property test over
 // the one delta state: for random dirty subsets, delta reports are
-// identical to full scans of the same state at parallelism 1 and 4 (the
-// capture fans out), and a scan counts as rescanning the state
-// (ShardsScanned 1) whenever a loop re-oriented or re-optimized.
-func TestRunDeltaShardedEquivalence(t *testing.T) {
+// identical to full scans of the same state, and a scan counts as
+// rescanning the state (ShardsScanned 1) whenever a loop re-oriented or
+// re-optimized, as the capture always does.
+func TestRunDeltaStateEquivalence(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)
 	ctx := context.Background()
 
-	for _, par := range []int{1, 4} {
-		cfg := Config{Parallelism: par}
-		rng := rand.New(rand.NewSource(int64(100 + par)))
+	for _, seed := range []int64{101, 104} {
+		cfg := Config{}
+		rng := rand.New(rand.NewSource(seed))
 		st := NewDelta(cfg)
 		first, err := st.Scan(ctx, pools, nil, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if first.ShardsScanned != 1 {
-			t.Errorf("par=%d: capture scanned %d states, want 1", par, first.ShardsScanned)
+			t.Errorf("seed %d: capture scanned %d states, want 1", seed, first.ShardsScanned)
 		}
 		state := pools
 		for round := 0; round < 6; round++ {
@@ -44,16 +44,16 @@ func TestRunDeltaShardedEquivalence(t *testing.T) {
 			}
 			requireSameReport(t, delta, full)
 			if delta.LoopsReoptimized+delta.LoopsReused != delta.LoopsDetected {
-				t.Fatalf("par=%d round %d: counters do not partition: %d + %d != %d",
-					par, round, delta.LoopsReoptimized, delta.LoopsReused, delta.LoopsDetected)
+				t.Fatalf("seed %d round %d: counters do not partition: %d + %d != %d",
+					seed, round, delta.LoopsReoptimized, delta.LoopsReused, delta.LoopsDetected)
 			}
 			if delta.LoopsReoptimized == 0 || delta.ShardsScanned != 1 {
-				t.Fatalf("par=%d round %d: re-optimized %d loops, ShardsScanned = %d; want some and 1",
-					par, round, delta.LoopsReoptimized, delta.ShardsScanned)
+				t.Fatalf("seed %d round %d: re-optimized %d loops, ShardsScanned = %d; want some and 1",
+					seed, round, delta.LoopsReoptimized, delta.ShardsScanned)
 			}
 		}
 		if s := st.Stats(); s.DeltaScans != 6 || s.Shards != 1 || s.ShardsScanned != 7 {
-			t.Errorf("par=%d: stats = %+v, want 6 delta scans, 1 state rescanned 7 times", par, s)
+			t.Errorf("seed %d: stats = %+v, want 6 delta scans, 1 state rescanned 7 times", seed, s)
 		}
 	}
 }
@@ -68,8 +68,8 @@ func (nullStrategy) Optimize(context.Context, *strategy.Loop, strategy.PriceMap)
 }
 
 // TestOptimizeIntoZeroAllocPerLoop asserts the chunked fan-out adds zero
-// allocations per dispatched loop on the single-worker (inline) path —
-// the delta scan's routine case of a handful of jobs.
+// allocations per dispatched loop on the single-worker (inline) path,
+// which Run takes at parallelism 1.
 func TestOptimizeIntoZeroAllocPerLoop(t *testing.T) {
 	pools, prices := deltaMarket(t)
 	src := cex.NewStatic(prices)

@@ -45,8 +45,9 @@ type Metrics struct {
 	StageOrient, StagePrices, StageOptimize, StageCommit telemetry.Histogram
 	// ScanTotal is the whole-scan latency, both paths.
 	ScanTotal telemetry.Histogram
-	// FullScans and DeltaScans count how scans resolved (runCapture vs
-	// the delta fast path) — the Metrics view of DeltaStats.
+	// FullScans and DeltaScans count how scans resolved (Run or a
+	// Delta's capture vs the delta fast path) — the Metrics view of
+	// DeltaStats.
 	FullScans, DeltaScans telemetry.Counter
 	// LoopsReoptimized and LoopsReused count per-loop work across all
 	// scans: how many Optimize calls actually ran vs merged from capture.

@@ -211,9 +211,10 @@ func solveLoop[K kernel](k K, name string, l *Loop, prices PriceMap) (Result, er
 }
 
 // Workspace is the scratch SolveHops and Materialize compute in, owned
-// by their caller: a scan keeps one per worker, so its per-loop path
-// never goes through the shared pool Optimize uses. The zero value is
-// ready. A Workspace serves one goroutine at a time.
+// by their caller: the delta engine keeps one in its scratch arena,
+// which one scan holds at a time, so its per-loop path never goes
+// through the shared pool Optimize uses. The zero value is ready. A Workspace serves one
+// goroutine at a time.
 type Workspace struct{ w convexWS }
 
 // SolveHops runs k on the loop hops compiles, staging its problem in ws
@@ -283,23 +284,6 @@ func Materialize(ws *Workspace, name string, pools []*amm.Pool, hops []HopIndex,
 	}
 	s.Result = res
 	return s, nil
-}
-
-// StorePlan writes the plan of res, a Result a Kernel's Optimize returned
-// for l, to plan in l's hop order and returns its start token as
-// SolveHops returns it: the inverse of Materialize, so a full scan's
-// results can seed the plans a later Materialize serves from.
-func StorePlan(l *Loop, res Result, plan []float64) (start int) {
-	start, off := -1, 0
-	if res.StartToken != "" {
-		start = slices.Index(l.tokens, res.StartToken)
-		off = start
-	}
-	n := len(plan)
-	for k, in := range res.Plan.Inputs {
-		plan[(off+k)%n] = in
-	}
-	return start
 }
 
 // compose appends hop i to the Möbius map (A, B, C), exactly as

@@ -17,9 +17,10 @@ type ScanResult = scan.Result
 type ScanReport = scan.Report
 
 // Scanner runs whole-market scans: detect arbitrage loops once from a
-// PoolSource, batch-fetch CEX prices from a PriceSource, and fan the
-// per-loop optimization out over up to WithParallelism goroutines. A
-// Scanner's configuration is immutable after construction and safe for
+// PoolSource, batch-fetch CEX prices from a PriceSource, and optimize
+// every loop — Scan, ScanStream and ScanVersioned fan the per-loop
+// optimization out over up to WithParallelism goroutines. A Scanner's
+// configuration is immutable after construction and safe for
 // concurrent use — any number of Scan, ScanStream, ScanVersioned,
 // ScanDelta, and Watch calls may run at once, each seeing its own
 // point-in-time view of the sources (delta scans briefly lock the
@@ -38,8 +39,10 @@ type ScanReport = scan.Report
 // pool that actually traded (or holding a token whose CEX price moved),
 // merging every other result from the previous scan. Reports are
 // identical to full scans over the same state; Report.LoopsReoptimized
-// and Report.LoopsReused expose the work split. WithDeltaScans(false)
-// disables the path.
+// and Report.LoopsReused expose the work split. Delta scans run on the
+// calling goroutine: the first, and the first after a topology change,
+// captures the delta state by re-optimizing every loop inline.
+// WithDeltaScans(false) disables the path.
 type Scanner struct {
 	pools  PoolSource
 	prices PriceSource
@@ -86,11 +89,12 @@ func (e errStrategy) Optimize(context.Context, *Loop, PriceMap) (Result, error) 
 }
 
 // WithParallelism bounds how many goroutines a full scan (Scan,
-// ScanStream, ScanVersioned, and a delta capture) optimizes loops on
-// (default GOMAXPROCS, resolved once at NewScanner: later GOMAXPROCS
-// changes do not resize it). Parallelism 1 reproduces the sequential
-// per-loop order of work exactly. A delta scan re-optimizes its few
-// dirty loops inline.
+// ScanStream, ScanVersioned, and ScanDelta or Watch with delta scans
+// disabled) optimizes loops on (default GOMAXPROCS, resolved once at
+// NewScanner: later GOMAXPROCS changes do not resize it). Parallelism 1
+// reproduces the sequential per-loop order of work exactly. The delta
+// path does not fan out: a delta scan re-optimizes its few dirty loops
+// inline, and its capture every loop.
 func WithParallelism(n int) ScannerOption {
 	return func(c *scan.Config) { c.Parallelism = n }
 }
